@@ -28,11 +28,9 @@ from .geometry import (
     add_01d_hit,
     add_metric,
     add_s_metric,
-    load_model3d,
     pose_errors,
     project,
     rotation_from_axis_angle,
-    save_model3d,
 )
 from .sinkhorn import (
     SinkhornConfig,
@@ -48,25 +46,24 @@ from .uncertainty import (
     aggregate,
     blend_weights,
     ensemble_statistics,
-    load_ensemble_csv,
     majority_vote_align,
     student_uniform_weights,
     teacher_confidence,
     variance_to_uncertainty,
 )
-from .uakd import PredictionLossResult, prediction_loss, uniform_ot_baseline_loss
+from .uakd import PredictionLossResult, prediction_loss, transport_loss
 from .pfkd import (
     ConvLayerSpec,
     FeatureMap,
     FeatureRegion,
-    adapt_region,
     extract_region,
+    extract_regions,
     init_projection,
-    load_feature_map,
     pfkd_loss,
     receptive_field_extent,
     region_center,
-    save_feature_map,
+    region_loss,
+    scatter_region_grads,
 )
 from .pnp import Correspondences, PnpResult, pnp_solve, reprojection_rms
 from .regressor import RegressorSpec, ToyRegressor

@@ -5,7 +5,8 @@ Subcommands: `sinkhorn` (solve a transport instance from CSV files),
 (solve a pose from a correspondence file).
 
 Exit codes: 0 success, 1 parse/config errors, 2 non-convergence or
-degenerate geometry, 3 training divergence (partial results preserved).
+degenerate geometry, 3 training divergence.  `experiment` writes the rows
+finished before any toolkit error.
 `OTKD_LOG` sets log verbosity (debug/info/warning/error).
 """
 from __future__ import annotations
@@ -204,7 +205,7 @@ def cmd_experiment(args) -> int:
 
     rows = []
     reports = []
-    diverged = None
+    failure = None
     pool = None
     try:
         log.info("training %d-member teacher ensemble", cfg.ensemble_size)
@@ -226,8 +227,8 @@ def cmd_experiment(args) -> int:
             if u is not None:
                 by_condition[condition].uncertainty[seed] = u
         reports = [by_condition[c] for c in CONDITIONS]
-    except TrainingDiverged as exc:
-        diverged = exc
+    except OtkdError as exc:  # main maps it to an exit code once outputs are kept
+        failure = exc
     finally:
         if pool is not None:
             pool.terminate()
@@ -240,10 +241,9 @@ def cmd_experiment(args) -> int:
                 "version": __version__}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                       sort_keys=True) + "\n")
-    if diverged is not None:
-        print(f"error: {diverged}", file=sys.stderr)
+    if failure is not None:
         print(f"partial results in {out_dir}", file=sys.stderr)
-        return EXIT_DIVERGED
+        raise failure
     log.info("wrote %d rows to %s", len(rows), out_dir / "report.csv")
     return EXIT_OK
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -193,28 +192,3 @@ def pose_errors(pred: Pose, gt: Pose) -> tuple[float, float, float]:
     if tg == 0.0:
         raise ZeroGroundTruthTranslation("combined pose error needs |t_gt| > 0")
     return e_t, e_r, e_r_rad + e_t / tg
-
-
-def load_model3d(path: str | Path) -> Model3D:
-    """Plain-text model format: `diameter <m>`, `symmetric 0|1`, then x y z rows."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()
-             if ln.strip() and not ln.strip().startswith("#")]
-    if len(lines) < 2:
-        raise ValueError(f"{path}: expected diameter and symmetric lines")
-    head = dict()
-    for ln in lines[:2]:
-        key, _, val = ln.partition(" ")
-        head[key] = val.strip()
-    if "diameter" not in head or "symmetric" not in head:
-        raise ValueError(f"{path}: first two lines must set diameter and symmetric")
-    pts = np.array([[float(tok) for tok in ln.split()] for ln in lines[2:]])
-    if pts.size == 0 or pts.shape[1] != 3:
-        raise ValueError(f"{path}: expected x y z rows after the header")
-    return Model3D(pts, float(head["diameter"]), head["symmetric"] not in ("0", "false"))
-
-
-def save_model3d(model: Model3D, path: str | Path) -> None:
-    rows = "\n".join(" ".join(repr(float(c)) for c in p) for p in model.points)
-    Path(path).write_text(
-        f"diameter {float(model.diameter)!r}\nsymmetric {int(model.symmetric)}\n{rows}\n"
-    )

@@ -28,11 +28,14 @@ import numpy as np
 from .errors import ConfigError, DegenerateConfiguration, PointBehindCamera, TrainingDiverged
 from .geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose, add_01d_hit,
                        pose_errors, project)
-from .pfkd import init_projection, receptive_field_extent
+from .pfkd import (extract_regions, init_projection, receptive_field_extent,
+                   region_loss, scatter_region_grads)
 from .pnp import Correspondences, pnp_solve
 from .regressor import RegressorSpec, ToyRegressor
 from .sinkhorn import sinkhorn_unbalanced_batch
-from .uncertainty import aggregate, blend_weights, teacher_confidence
+from .uakd import transport_loss
+from .uncertainty import (aggregate, blend_weights, student_uniform_weights,
+                          teacher_confidence)
 
 GRID = 16
 IMAGE_SIZE = 64.0
@@ -231,35 +234,7 @@ def _teacher_spec(cfg: TrainingConfig) -> RegressorSpec:
 
 
 # --------------------------------------------------------------------------
-# batched region helpers (hot-path equivalents of pfkd.extract_region)
-
-
-def _extract_regions(fmaps: np.ndarray, centers: np.ndarray, extent: int):
-    """fmaps (B,C,G,G), centers (B,K,2) int (row,col) -> regions (B,K,C,e,e)
-    with zero-filled out-of-bounds cells, plus scatter indices."""
-    B, C, G, _ = fmaps.shape
-    K = centers.shape[1]
-    offs = np.arange(extent) - (extent - 1) // 2
-    rr = centers[:, :, 0][:, :, None, None] + offs[None, None, :, None]
-    cc = centers[:, :, 1][:, :, None, None] + offs[None, None, None, :]
-    rr = np.broadcast_to(rr, (B, K, extent, extent))
-    cc = np.broadcast_to(cc, (B, K, extent, extent))
-    valid = (rr >= 0) & (rr < G) & (cc >= 0) & (cc < G)
-    rs = np.clip(rr, 0, G - 1)
-    cs = np.clip(cc, 0, G - 1)
-    out = fmaps[np.arange(B)[:, None, None, None], :, rs, cs]  # B,K,e,e,C
-    out = out * valid[..., None]
-    return np.ascontiguousarray(out.transpose(0, 1, 4, 2, 3)), (rs, cs, valid)
-
-
-def _scatter_region_grads(dfmaps: np.ndarray, dregions: np.ndarray, idx) -> None:
-    """Adds region-content gradients (B,K,C,e,e) back into (B,C,G,G) maps."""
-    rs, cs, valid = idx
-    B, K, C, e, _ = dregions.shape
-    masked = (dregions * valid[:, :, None]).transpose(0, 1, 3, 4, 2)
-    bidx = np.broadcast_to(np.arange(B)[:, None, None, None], rs.shape)
-    np.add.at(dfmaps, (bidx[..., None], np.arange(C)[None, None, None, None, :],
-                       rs[..., None], cs[..., None]), masked)
+# teacher side
 
 
 def _region_centers(kps_px: np.ndarray) -> np.ndarray:
@@ -268,10 +243,6 @@ def _region_centers(kps_px: np.ndarray) -> np.ndarray:
     rows = np.clip(np.round(kps_px[:, :, 1] * DELTA), 0, GRID - 1)
     cols = np.clip(np.round(kps_px[:, :, 0] * DELTA), 0, GRID - 1)
     return np.stack([rows, cols], axis=-1).astype(int)
-
-
-# --------------------------------------------------------------------------
-# teacher side
 
 
 @dataclass
@@ -344,7 +315,7 @@ def prepare_targets(teachers: list[ToyRegressor], encodings: np.ndarray,
     extent = receptive_field_extent(teachers[0].head_spec())
     regions = np.zeros((B, N, teachers[0].spec.channels, extent, extent), _DT)
     for member, fmap in enumerate(feats):
-        r, _ = _extract_regions(fmap, _region_centers(preds[member]), extent)
+        r, _ = extract_regions(fmap, _region_centers(preds[member]), extent)
         regions += r
     regions /= E
     return DistillTargets(predictions=stats.mean.reshape(B, N, 2),
@@ -363,6 +334,10 @@ class TotalLossResult:
     projection_gradient: np.ndarray | None
     plans: np.ndarray | None                # (B, M, N) detached coupling
     potentials: tuple[np.ndarray, np.ndarray] | None
+    # the solve's iteration count and whether every instance converged;
+    # None when the plans were supplied rather than solved
+    iterations: int | None = None
+    converged: bool | None = None
 
 
 def total_loss(student: ToyRegressor, encodings: np.ndarray,
@@ -394,47 +369,36 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
     loss_feat = 0.0
     dfeats = None
     dproj = None
-    potentials = None
+    potentials = iterations = converged = None
 
     if use_pred or use_feat:
         mus = targets.predictions
-        N = mus.shape[1]
-        disp = kps64[:, :, None, :] - mus[:, None, :, :]     # (B, M, N, 2)
-        dist = np.linalg.norm(disp, axis=3)
         if plans is None:
+            N = mus.shape[1]
+            dist = np.linalg.norm(kps64[:, :, None, :] - mus[:, None, :, :], axis=3)
+            if not np.isfinite(dist).all():
+                raise TrainingDiverged("non-finite keypoints reached the transport cost")
             eps = 0.01 * np.maximum(dist.mean(axis=(1, 2)), 1e-9)
-            a = np.full((B, M), 1.0 / M)
+            a = np.broadcast_to(student_uniform_weights(M), (B, M))
             b = targets.col_weights / N
             f0, g0 = warm_start if warm_start is not None else (None, None)
-            plans, f, g, _, _ = sinkhorn_unbalanced_batch(
+            plans, f, g, iterations, converged = sinkhorn_unbalanced_batch(
                 dist, a, b, eps, cfg.tau, max_iters=200, tol=1e-5, f0=f0, g0=g0)
             potentials = (f, g)
         if use_pred:
-            loss_pred = float((plans * dist).sum() / B)
-            unit = disp / np.maximum(dist, 1e-12)[..., None]
-            dk = dk + gp * (plans[..., None] * unit).sum(axis=2) / B
+            loss_pred, dpred = transport_loss(plans, kps64, mus)
+            dk = dk + gp * dpred
         if use_feat:
             if projection is None:
                 raise ConfigError("feature transfer is active but no channel "
                                   "projection was supplied")
             extent = targets.regions.shape[-1]
-            centers = _region_centers(kps64)
-            regions, idx = _extract_regions(fmaps, centers, extent)
+            regions, idx = extract_regions(fmaps, _region_centers(kps64), extent)
             adapted = np.einsum("ct,bntij->bncij", projection, targets.regions)
-            sq = (adapted[:, None] - regions[:, :, None]) ** 2   # (B,M,N,C,e,e)
-            cs = regions.shape[2]
-            coef = 1.0 / (N * M * cs * extent * extent)
-            loss_feat = float(coef * np.einsum("bmn,bmncij->", plans, sq) / B)
-            gcoef = 2.0 * gf * coef / B
-            row_mass = plans.sum(axis=2)
-            cross = np.einsum("bmn,bncij->bmcij", plans, adapted)
-            dregions = gcoef * (row_mass[:, :, None, None, None] * regions - cross)
+            loss_feat, dregions, dadapted = region_loss(adapted, regions, plans)
             dfeats = np.zeros_like(fmaps)
-            _scatter_region_grads(dfeats, dregions.astype(_DT), idx)
-            col_mass = plans.sum(axis=1)
-            cross_t = np.einsum("bmn,bmcij->bncij", plans, regions)
-            dadapted = gcoef * (col_mass[:, :, None, None, None] * adapted - cross_t)
-            dproj = np.einsum("bncij,bntij->ct", dadapted, targets.regions)
+            scatter_region_grads(dfeats, (gf * dregions).astype(_DT), idx)
+            dproj = gf * np.einsum("bncij,bntij->ct", dadapted, targets.regions)
 
     loss = cfg.gamma_kpt * loss_kpt + gp * loss_pred + gf * loss_feat
     if not np.isfinite(loss):
@@ -447,7 +411,8 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
                                   "feat": loss_feat},
                            gradients=student.gradients(),
                            projection_gradient=dproj, plans=plans,
-                           potentials=potentials)
+                           potentials=potentials, iterations=iterations,
+                           converged=converged)
 
 
 def _train(student: ToyRegressor, encodings: np.ndarray, keypoints_px: np.ndarray,

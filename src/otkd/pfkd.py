@@ -3,14 +3,13 @@
 Each predicted keypoint is traced back to the patch of the feature map that
 feeds the network head at that location: the patch extent comes from the head's
 conv stack, the center from scaling the keypoint into feature-grid coordinates.
-Teacher regions are adapted (1x1 channel projection + average pooling) to the
-student's region shape and compared under the transport plan.
+Teacher and student heads share that extent, so teacher regions are only
+channel-projected (a 1x1 mix onto the student's channels, no pooling) before
+they are compared with the student's under the transport plan.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -79,53 +78,49 @@ def region_center(keypoint, delta: float) -> tuple[int, int]:
     return int(np.round(delta * y)), int(np.round(delta * x))
 
 
+def extract_regions(fmaps: np.ndarray, centers: np.ndarray, extent: int):
+    """extent x extent windows around centers; out-of-bounds cells are zero.
+
+    fmaps (B, C, H, W), centers (B, K, 2) int (row, col).  Returns regions
+    (B, K, C, extent, extent) and the index tuple `scatter_region_grads`
+    takes to send region gradients back into the maps.
+    """
+    B, C, H, W = fmaps.shape
+    K = centers.shape[1]
+    rows, cols = centers[:, :, 0], centers[:, :, 1]
+    if ((rows < 0) | (rows >= H) | (cols < 0) | (cols >= W)).any():
+        raise CenterOutsideMap(f"a center lies outside the {H}x{W} map")
+    # even extents put the extra cell after the center (bottom/right)
+    offs = np.arange(extent) - (extent - 1) // 2
+    rr = rows[:, :, None, None] + offs[None, None, :, None]
+    cc = cols[:, :, None, None] + offs[None, None, None, :]
+    rr = np.broadcast_to(rr, (B, K, extent, extent))
+    cc = np.broadcast_to(cc, (B, K, extent, extent))
+    valid = (rr >= 0) & (rr < H) & (cc >= 0) & (cc < W)
+    rs = np.clip(rr, 0, H - 1)
+    cs = np.clip(cc, 0, W - 1)
+    out = fmaps[np.arange(B)[:, None, None, None], :, rs, cs]  # B,K,e,e,C
+    out = out * valid[..., None]
+    return np.ascontiguousarray(out.transpose(0, 1, 4, 2, 3)), (rs, cs, valid)
+
+
+def scatter_region_grads(dfmaps: np.ndarray, dregions: np.ndarray, idx) -> None:
+    """Adds region gradients (B, K, C, e, e) into the (B, C, H, W) map
+    gradients `dfmaps`, in place: the adjoint of `extract_regions`."""
+    rs, cs, valid = idx
+    B, K, C, e, _ = dregions.shape
+    masked = (dregions * valid[:, :, None]).transpose(0, 1, 3, 4, 2)
+    bidx = np.broadcast_to(np.arange(B)[:, None, None, None], rs.shape)
+    np.add.at(dfmaps, (bidx[..., None], np.arange(C)[None, None, None, None, :],
+                       rs[..., None], cs[..., None]), masked)
+
+
 def extract_region(fmap: FeatureMap, center: tuple[int, int],
                    extent: int) -> FeatureRegion:
-    """Extent x extent window around center; out-of-bounds cells are zero."""
-    C, H, W = fmap.data.shape
+    """One window of `extract_regions`, for a single map and center."""
     r, c = int(center[0]), int(center[1])
-    if not (0 <= r < H and 0 <= c < W):
-        raise CenterOutsideMap(f"center {center} outside {H}x{W} map")
-    # even extents put the extra cell after the center (bottom/right)
-    lo = (extent - 1) // 2
-    hi = extent - lo
-    out = np.zeros((C, extent, extent))
-    r0, r1 = r - lo, r + hi
-    c0, c1 = c - lo, c + hi
-    rs, re = max(r0, 0), min(r1, H)
-    cs, ce = max(c0, 0), min(c1, W)
-    out[:, rs - r0:re - r0, cs - c0:ce - c0] = fmap.data[:, rs:re, cs:ce]
-    return FeatureRegion(out, (r, c))
-
-
-def _pool_ceil(data: np.ndarray, th: int, tw: int) -> np.ndarray:
-    """Non-overlapping average pooling to (th, tw); edge windows may be short."""
-    C, H, W = data.shape
-    kh = -(-H // th)  # ceil
-    kw = -(-W // tw)
-    out = np.empty((C, th, tw))
-    for i in range(th):
-        for j in range(tw):
-            blk = data[:, i * kh:min((i + 1) * kh, H), j * kw:min((j + 1) * kw, W)]
-            out[:, i, j] = blk.mean(axis=(1, 2))
-    return out
-
-
-def adapt_region(teacher_region: FeatureRegion, target_c: int, target_h: int,
-                 target_w: int, projection: np.ndarray) -> FeatureRegion:
-    """Channel-mix with `projection` (target_c x C_T), then pool spatially."""
-    data = teacher_region.data
-    C, H, W = data.shape
-    proj = np.asarray(projection, dtype=float)
-    if proj.shape != (target_c, C):
-        raise ShapeMismatch(f"projection {proj.shape}, expected {(target_c, C)}")
-    if target_h > H or target_w > W:
-        raise ShapeMismatch(
-            f"cannot pool {H}x{W} region up to {target_h}x{target_w}")
-    mixed = np.einsum("sc,chw->shw", proj, data)
-    if (H, W) != (target_h, target_w):
-        mixed = _pool_ceil(mixed, target_h, target_w)
-    return FeatureRegion(mixed, teacher_region.center, teacher_region.source_keypoint)
+    regions, _ = extract_regions(fmap.data[None], np.array([[[r, c]]]), extent)
+    return FeatureRegion(regions[0, 0], (r, c))
 
 
 def init_projection(target_c: int, source_c: int,
@@ -139,76 +134,47 @@ def init_projection(target_c: int, source_c: int,
     return rng.uniform(-0.1, 0.1, (target_c, source_c))
 
 
+def region_loss(teacher: np.ndarray, student: np.ndarray, plans: np.ndarray):
+    """Plan-weighted mean-squared feature discrepancy, averaged over scenes.
+
+    teacher (B, N, C, H, W) regions already projected to the student's
+    channels, student (B, M, C, H, W), plans (B, M, N) student-major.  Per
+    scene, loss = (1/(N*M)) * sum_ij plan[j, i] * mse(T_i, S_j) with mse
+    normalized by the region element count.  Returns the loss and its
+    gradients with respect to the student and the teacher regions.
+    """
+    B, N = teacher.shape[:2]
+    M = student.shape[1]
+    if plans.shape != (B, M, N):
+        raise ShapeMismatch(
+            f"plans {plans.shape}, expected {(B, M, N)} (student-major)")
+    if teacher.shape[0] != student.shape[0] or teacher.shape[2:] != student.shape[2:]:
+        raise ShapeMismatch(f"teacher regions {teacher.shape} vs student "
+                            f"{student.shape} after adaptation")
+    C, H, W = student.shape[2:]
+    sq = (teacher[:, None] - student[:, :, None]) ** 2   # (B, M, N, C, H, W)
+    coef = 1.0 / (N * M * C * H * W)
+    loss = float(coef * np.einsum("bmn,bmncij->", plans, sq) / B)
+    gcoef = 2.0 * coef / B
+    row_mass = plans.sum(axis=2)
+    cross = np.einsum("bmn,bncij->bmcij", plans, teacher)
+    dstudent = gcoef * (row_mass[:, :, None, None, None] * student - cross)
+    col_mass = plans.sum(axis=1)
+    cross_t = np.einsum("bmn,bmcij->bncij", plans, student)
+    dteacher = gcoef * (col_mass[:, :, None, None, None] * teacher - cross_t)
+    return loss, dstudent, dteacher
+
+
 def pfkd_loss(teacher_regions: list[FeatureRegion],
               student_regions: list[FeatureRegion],
               plan: TransportPlan | np.ndarray) -> tuple[float, np.ndarray]:
-    """Plan-weighted mean-squared feature discrepancy.
+    """`region_loss` for one scene.
 
-    The plan arrives student-major (M x N) and is transposed here, once, to
-    teacher-major: loss = (1/(N*M)) * sum_ij plan_T[i, j] * mse(T_i, S_j) with
-    mse normalized by the region element count.  Returns the loss and the
+    The plan arrives student-major (M x N).  Returns the loss and the
     gradient with respect to every student region, shape (M, C, H, W).
     """
     P = plan.entries if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
-    N, M = len(teacher_regions), len(student_regions)
-    if P.shape != (M, N):
-        raise ShapeMismatch(f"plan {P.shape}, expected {(M, N)} (student-major)")
     T = np.stack([r.data for r in teacher_regions])
     S = np.stack([r.data for r in student_regions])
-    if T.shape[1:] != S.shape[1:]:
-        raise ShapeMismatch(
-            f"teacher regions {T.shape[1:]} vs student {S.shape[1:]} after adaptation")
-    Pt = P.T  # teacher-major from here on
-    cells = S.shape[1] * S.shape[2] * S.shape[3]
-    norm = N * M * cells
-    # ||T_i - S_j||^2 summed via Gram expansions, no (N, M, C, H, W) temporary
-    t2 = (T ** 2).sum(axis=(1, 2, 3))
-    s2 = (S ** 2).sum(axis=(1, 2, 3))
-    ts = np.einsum("ichw,jchw->ij", T, S)
-    sq = t2[:, None] + s2[None, :] - 2.0 * ts
-    loss = float((Pt * sq).sum() / norm)
-    col = Pt.sum(axis=0)  # total plan mass on each student region
-    grad = (2.0 / norm) * (col[:, None, None, None] * S
-                           - np.einsum("ij,ichw->jchw", Pt, T))
-    return loss, grad
-
-
-def aggregate_ensemble_regions(regions_per_member: list[list[FeatureRegion]]
-                               ) -> list[FeatureRegion]:
-    """Elementwise mean over members, keypoint by keypoint."""
-    if not regions_per_member:
-        raise ShapeMismatch("no members")
-    n = len(regions_per_member[0])
-    if any(len(mem) != n for mem in regions_per_member):
-        raise ShapeMismatch("members disagree on keypoint count")
-    out = []
-    for j in range(n):
-        stack = [mem[j].data for mem in regions_per_member]
-        shape = stack[0].shape
-        if any(d.shape != shape for d in stack):
-            raise ShapeMismatch(f"region shapes differ for keypoint {j}")
-        out.append(FeatureRegion(np.mean(stack, axis=0),
-                                 regions_per_member[0][j].center, j))
-    return out
-
-
-_HEADER = struct.Struct("<iiif")  # C, H, W, delta
-
-
-def save_feature_map(fmap: FeatureMap, path: str | Path) -> None:
-    C, H, W = fmap.data.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(C, H, W, fmap.delta))
-        fh.write(fmap.data.astype("<f4").tobytes())
-
-
-def load_feature_map(path: str | Path) -> FeatureMap:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    C, H, W, delta = _HEADER.unpack_from(raw)
-    expect = _HEADER.size + 4 * C * H * W
-    if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes, got {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(float)
-    return FeatureMap(data.reshape(C, H, W), float(delta))
+    loss, grad, _ = region_loss(T[None], S[None], P[None])
+    return loss, grad[0]

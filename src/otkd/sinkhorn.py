@@ -75,25 +75,31 @@ def default_config(cost: np.ndarray, **overrides) -> SinkhornConfig:
     return SinkhornConfig(**kw)
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp_keep(x: np.ndarray, axis: int) -> np.ndarray:
     m = x.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    return m.squeeze(axis) + np.log(np.exp(x - m).sum(axis=axis))
 
 
-def _check_marginals(cost, alpha_s, alpha_t):
-    a = np.asarray(alpha_s, dtype=float).reshape(-1)
-    b = np.asarray(alpha_t, dtype=float).reshape(-1)
+def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
+    """Validated float copies of a cost (M, N) and its marginals (M,), (N,);
+    with ndim=3, all three carry a leading batch axis of independent
+    instances, and each instance is checked on its own."""
     C = np.asarray(cost, dtype=float)
-    if C.ndim != 2 or C.shape[0] == 0 or C.shape[1] == 0:
-        raise EmptySet(f"cost must be a non-empty 2D matrix, got shape {C.shape}")
+    if C.ndim != ndim or 0 in C.shape:
+        raise EmptySet(f"cost must be a non-empty {ndim}D array, got shape {C.shape}")
     if (C < 0).any() or not np.isfinite(C).all():
         raise ValueError("cost entries must be finite and >= 0")
-    if a.shape[0] != C.shape[0] or b.shape[0] != C.shape[1]:
+    lead, (M, N) = C.shape[:-2], C.shape[-2:]
+    a = np.asarray(alpha_s, dtype=float)
+    b = np.asarray(alpha_t, dtype=float)
+    if a.size != math.prod(lead) * M or b.size != math.prod(lead) * N:
         raise DimensionMismatch(
-            f"marginals {a.shape[0]}x{b.shape[0]} vs cost {C.shape}")
+            f"marginals of {a.size} and {b.size} entries vs cost {C.shape}")
+    a = a.reshape(lead + (M,))
+    b = b.reshape(lead + (N,))
     if (a < 0).any() or (b < 0).any():
         raise NegativeWeight("marginal weights must be >= 0")
-    if a.sum() == 0 or b.sum() == 0:
+    if (a.sum(axis=-1) == 0).any() or (b.sum(axis=-1) == 0).any():
         raise NegativeWeight("marginals must not be all zero")
     return C, a, b
 
@@ -101,8 +107,8 @@ def _check_marginals(cost, alpha_s, alpha_t):
 def _iterate(C, la, lb, eps, fi, f, g, max_iters, tol):
     """Core damped log-domain loop. Returns (f, g, iterations, converged)."""
     for it in range(1, max_iters + 1):
-        f_new = fi * (eps * la - eps * _logsumexp((g[None, :] - C) / eps, 1))
-        g_new = fi * (eps * lb - eps * _logsumexp((f_new[:, None] - C) / eps, 0))
+        f_new = fi * (eps * la - eps * _logsumexp_keep((g[None, :] - C) / eps, 1))
+        g_new = fi * (eps * lb - eps * _logsumexp_keep((f_new[:, None] - C) / eps, 0))
         delta = max(np.abs(f_new - f).max(), np.abs(g_new - g).max()) / eps
         f, g = f_new, g_new
         if delta < tol:
@@ -181,11 +187,6 @@ def plan_residuals(plan: TransportPlan, alpha_s, alpha_t) -> tuple[float, float]
             float(np.abs(plan.entries.sum(axis=0) - b).sum()))
 
 
-def _logsumexp_keep(x: np.ndarray, axis: int) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    return m.squeeze(axis) + np.log(np.exp(x - m).sum(axis=axis))
-
-
 def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
                               alpha_t: np.ndarray, epsilon, tau: float,
                               max_iters: int = 1000, tol: float = 1e-6,
@@ -202,10 +203,8 @@ def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
     produce exactly-zero rows/columns.  epsilon: scalar or (B,) per-instance.
     Returns (plans (B, M, N), f (B, M), g (B, N), iterations, all_converged).
     """
-    C = np.asarray(costs, dtype=float)
+    C, a, b = _check_marginals(costs, alpha_s, alpha_t, ndim=3)
     B, M, N = C.shape
-    a = np.asarray(alpha_s, dtype=float).reshape(B, M)
-    b = np.asarray(alpha_t, dtype=float).reshape(B, N)
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float).reshape(-1, 1), (B, 1)).copy()
     if (eps <= 0).any():
         raise ValueError("epsilon must be > 0")

@@ -24,9 +24,6 @@ from .sinkhorn import (
     sinkhorn_unbalanced,
 )
 
-# distances below this are treated as coincident points: zero subgradient
-_COINCIDENT = 1e-12
-
 
 @dataclass(frozen=True)
 class PredictionLossResult:
@@ -35,25 +32,31 @@ class PredictionLossResult:
     gradient: np.ndarray  # (M, 2), d loss / d student keypoint coordinates
 
 
-def _loss_and_gradient(P: np.ndarray, student: np.ndarray, teacher: np.ndarray):
-    diff = student[:, None, :] - teacher[None, :, :]  # (M, N, 2)
-    dist = np.sqrt((diff ** 2).sum(-1))
-    loss = float((P * dist).sum())
-    safe = np.where(dist < _COINCIDENT, 1.0, dist)
-    unit = np.where((dist < _COINCIDENT)[:, :, None], 0.0, diff / safe[:, :, None])
-    grad = (P[:, :, None] * unit).sum(axis=1)
-    return loss, grad
+def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
+    """Plan-weighted keypoint distance, averaged over scenes.
+
+    plans (B, M, N) student-major, student (B, M, 2), teacher (B, N, 2).
+    Per scene, loss = sum_ij pi_ij * |k_s_i - k_t_j|.  Returns the loss and
+    its gradient with respect to the student keypoints, (B, M, 2):
+    sum_j pi_ij * (k_s_i - k_t_j) / max(|k_s_i - k_t_j|, 1e-12), so a
+    coincident pair contributes nothing (minimum-norm subgradient).
+    """
+    B, M, N = plans.shape
+    if student.shape != (B, M, 2) or teacher.shape != (B, N, 2):
+        raise DimensionMismatch(f"keypoints {student.shape} and {teacher.shape} "
+                                f"vs plans {plans.shape}")
+    disp = student[:, :, None, :] - teacher[:, None, :, :]     # (B, M, N, 2)
+    dist = np.linalg.norm(disp, axis=3)
+    loss = float((plans * dist).sum() / B)
+    unit = disp / np.maximum(dist, 1e-12)[..., None]
+    return loss, (plans[..., None] * unit).sum(axis=2) / B
 
 
 def prediction_loss(student: KeypointSet, teacher: KeypointSet,
                     alpha_s: np.ndarray, alpha_t: np.ndarray,
                     cfg: SinkhornConfig | None = None,
                     warm_start: TransportPlan | None = None) -> PredictionLossResult:
-    """Solve the plan, then evaluate sum_ij pi_ij * |k_s_i - k_t_j| on it.
-
-    gradient[i] = sum_j pi_ij * (k_s_i - k_t_j) / |k_s_i - k_t_j|, with the
-    j-term zero when the points coincide (minimum-norm subgradient).
-    """
+    """Solve the plan, then evaluate `transport_loss` on it for one scene."""
     M, N = len(student), len(teacher)
     a = np.asarray(alpha_s, dtype=float).reshape(-1)
     b = np.asarray(alpha_t, dtype=float).reshape(-1)
@@ -64,21 +67,6 @@ def prediction_loss(student: KeypointSet, teacher: KeypointSet,
     if cfg is None:
         cfg = default_config(C)
     plan = sinkhorn_unbalanced(C, a, b, cfg, warm_start=warm_start)
-    loss, grad = _loss_and_gradient(plan.entries, student.points, teacher.points)
-    return PredictionLossResult(loss=loss, plan=plan, gradient=grad)
-
-
-def uniform_ot_baseline_loss(student: KeypointSet, teacher: KeypointSet,
-                             existence: np.ndarray | None = None,
-                             cfg: SinkhornConfig | None = None,
-                             warm_start: TransportPlan | None = None
-                             ) -> PredictionLossResult:
-    """Existence-only weighting (the confidence blend with lambda = 0).
-
-    Without explicit existence scores the teacher marginal is uniform 1/N.
-    """
-    N = len(teacher)
-    b = (np.full(N, 1.0 / N) if existence is None
-         else np.asarray(existence, dtype=float).reshape(-1))
-    a = np.full(len(student), 1.0 / len(student))
-    return prediction_loss(student, teacher, a, b, cfg, warm_start=warm_start)
+    loss, grad = transport_loss(plan.entries[None], student.points[None],
+                                teacher.points[None])
+    return PredictionLossResult(loss=loss, plan=plan, gradient=grad[0])

@@ -8,9 +8,7 @@ the population variance of contributing members.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -134,32 +132,3 @@ def blend_weights(alpha_conf: np.ndarray, alpha_exist: np.ndarray,
         if (arr < 0).any() or (arr > 1).any():
             raise OutOfRange(f"{name} weights must lie in [0, 1]")
     return lam * ac + (1.0 - lam) * ae
-
-
-def load_ensemble_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Reads `member_id,keypoint_id,x,y,present` rows into (members, present).
-
-    Missing (member, keypoint) pairs are treated as absent.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip() == "member_id":  # header
-                continue
-            if len(row) != 5:
-                raise ValueError(f"{path}:{ln}: expected 5 columns, got {len(row)}")
-            rows.append((int(row[0]), int(row[1]), float(row[2]), float(row[3]),
-                         int(row[4])))
-    if not rows:
-        raise EmptyEnsemble(f"{path}: no data rows")
-    E = max(r[0] for r in rows) + 1
-    N = max(r[1] for r in rows) + 1
-    members = np.zeros((E, N, 2))
-    present = np.zeros((E, N), dtype=bool)
-    for mid, kid, x, y, pres in rows:
-        members[mid, kid] = (x, y)
-        present[mid, kid] = bool(pres)
-    return members, present

@@ -1,0 +1,51 @@
+"""The benchmark's per-layer hooks resolve against the program.
+
+`bench/layers.py` wraps program functions by the names they are looked up
+under, and `bench/crosscheck.py` hooks the log-sum-exp helper that runs twice
+per Sinkhorn iteration.  A rename that the benchmark does not follow is
+reported there as an absent layer and reads 0, so these tests import the
+benchmark's own files, unchanged, and fail instead.
+"""
+import dataclasses
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from otkd import harness
+from test_harness import TINY, _student_and_batch, _synthetic_targets
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return (importlib.import_module("layers"),
+            importlib.import_module("crosscheck"))
+
+
+def test_every_layer_resolves(bench):
+    layers, crosscheck = bench
+    _, absent = layers.resolve()
+    assert absent == []
+    _, absent = layers.resolve((crosscheck.HALF_ITERATION,))
+    assert absent == []
+
+
+def test_hooks_count_one_solve(bench):
+    layers, crosscheck = bench
+    cfg = dataclasses.replace(TINY, gamma_f=0.0)
+    student, x, labels = _student_and_batch(cfg)
+    targets = _synthetic_targets(cfg, student, x, np.random.default_rng(3))
+    tracer = layers.Tracer()
+    hook = layers.Tracer((crosscheck.HALF_ITERATION,))
+    with tracer, hook:
+        res = harness.total_loss(student, x, labels, targets, cfg)
+    batch = tracer.stats["sinkhorn.batch"]
+    assert "sinkhorn.batch" not in tracer.broken_counters
+    assert batch.calls == 1
+    assert batch.counts == {"iters": res.iterations,
+                            "unconverged": int(not res.converged)}
+    assert hook.stats["sinkhorn.lse"].calls == 2 * res.iterations

@@ -180,6 +180,23 @@ class TestExperimentCommand:
         assert (out / "report.csv").read_text().splitlines() == [CSV_HEADER]
         assert (out / "manifest.json").exists()
 
+    def test_untrusted_teacher_preserves_partial_outputs(self, tmp_path):
+        cfgfile = tmp_path / "untrusted.cfg"
+        # every teacher keypoint saturates u = 1, so with lam = 1 the UAKD
+        # teacher marginal is all zero and the transport solve rejects it
+        cfgfile.write_text(TINY_CFG + "lam = 1\nuncertainty_scale = 1\n"
+                           "corrupt_noise_px = 10000\n"
+                           "corrupt_keypoints = 0,1,2,3,4,5,6,7\n")
+        out = tmp_path / "out"
+        res = run_cli("experiment", "--config", str(cfgfile), "--corrupt",
+                      "--out", str(out))
+        assert res.returncode == 1
+        assert "all zero" in res.stderr
+        assert "partial results" in res.stderr
+        lines = (out / "report.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["noKD", "uniformOT"]
+        assert (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("line,fragment", [
         ("bogus_key = 3", "unknown key 'bogus_key'"),
         ("lam = 1.5", "lam"),

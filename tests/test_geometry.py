@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from otkd.errors import (EmptySet, NegativeWeight, PointBehindCamera,
                          ZeroGroundTruthTranslation)
 from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
-                           add_01d_hit, add_metric, add_s_metric, load_model3d,
-                           pose_errors, project, rotation_from_axis_angle,
-                           save_model3d)
+                           add_01d_hit, add_metric, add_s_metric, pose_errors,
+                           project, rotation_from_axis_angle)
 
 
 def random_rotation(rng):
@@ -231,17 +230,6 @@ class TestTypes:
         pts = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]])
         with pytest.raises(ValueError):
             Model3D(points=pts, diameter=0.05)
-
-    def test_roundtrip_through_file(self, tmp_path):
-        rng = np.random.default_rng(29)
-        model = Model3D.from_points(rng.uniform(-0.05, 0.05, (6, 3)),
-                                    symmetric=True)
-        path = tmp_path / "model.txt"
-        save_model3d(model, path)
-        loaded = load_model3d(path)
-        np.testing.assert_allclose(loaded.points, model.points, rtol=1e-15)
-        assert loaded.symmetric == model.symmetric
-        assert loaded.diameter == pytest.approx(model.diameter, rel=1e-15)
 
 
 @settings(max_examples=25)

@@ -10,16 +10,18 @@ from otkd.errors import ConfigError, TrainingDiverged
 from otkd.harness import (CONDITIONS, CSV_HEADER, DELTA, GRID, IN_CHANNELS,
                           NUM_CORNERS, DistillTargets, ExperimentReport,
                           ReportRow, SyntheticScene, TrainingConfig,
-                          _condition_config, _extract_regions, _region_centers,
-                          _scatter_region_grads, _stack, _student_spec, _train,
-                          _train_one_seed, evaluate_student, make_scene,
-                          make_scenes, make_teacher_ensemble, prepare_targets,
+                          _condition_config, _region_centers, _stack,
+                          _student_spec, _train, _train_one_seed,
+                          evaluate_student, make_scene, make_scenes,
+                          make_teacher_ensemble, prepare_targets,
                           run_all_conditions, run_experiment, summarize,
                           total_loss, write_report_csv, write_report_json)
-from otkd.pfkd import (FeatureMap, FeatureRegion, extract_region,
-                       init_projection, pfkd_loss, receptive_field_extent,
-                       region_center)
+from otkd.pfkd import (FeatureRegion, extract_regions, init_projection,
+                       receptive_field_extent, region_center,
+                       scatter_region_grads)
 from otkd.regressor import ToyRegressor
+from otkd.sinkhorn import sinkhorn_unbalanced_batch
+from test_pfkd import loop_pfkd_loss, padded_window
 
 # small enough that the module's ensemble builds in a couple of seconds
 TINY = TrainingConfig(ensemble_size=2, teacher_epochs=30, teacher_scenes=8,
@@ -131,7 +133,7 @@ class TestConditionConfig:
 
 
 # --------------------------------------------------------------------------
-# region helpers (batched twins of the single-region functions)
+# region centers, and the library's region extraction as the harness calls it
 
 
 class TestRegionHelpers:
@@ -155,21 +157,20 @@ class TestRegionHelpers:
         # interior plus all four borders
         centers = np.array([[[0, 0], [0, 7], [5, GRID - 1], [8, 8]],
                             [[GRID - 1, GRID - 1], [3, 0], [GRID - 1, 2], [9, 4]]])
-        regions, _ = _extract_regions(fmaps, centers, extent)
+        regions, _ = extract_regions(fmaps, centers, extent)
         for b in range(2):
-            fmap = FeatureMap(fmaps[b], DELTA)
             for k in range(4):
-                ref = extract_region(fmap, tuple(centers[b, k]), extent)
-                np.testing.assert_array_equal(regions[b, k], ref.data)
+                np.testing.assert_array_equal(
+                    regions[b, k], padded_window(fmaps[b], centers[b, k], extent))
 
     def test_scatter_is_the_adjoint_of_extract(self):
         rng = np.random.default_rng(5)
         fmaps = rng.normal(size=(2, 3, GRID, GRID))
         centers = np.array([[[0, 1], [10, 15]], [[GRID - 1, 0], [7, 7]]])
-        regions, idx = _extract_regions(fmaps, centers, 4)
+        regions, idx = extract_regions(fmaps, centers, 4)
         d = rng.normal(size=regions.shape)
         scattered = np.zeros_like(fmaps)
-        _scatter_region_grads(scattered, d, idx)
+        scatter_region_grads(scattered, d, idx)
         lhs = float((regions * d).sum())
         rhs = float((fmaps * scattered).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -285,7 +286,7 @@ class TestTotalLoss:
         kps, fmaps = student.forward(x)
         kps64 = np.asarray(kps, dtype=float)
         extent = receptive_field_extent(student.head_spec())
-        regions, _ = _extract_regions(fmaps, _region_centers(kps64), extent)
+        regions, _ = extract_regions(fmaps, _region_centers(kps64), extent)
         targets = DistillTargets(predictions=kps64.copy(),
                                  col_weights=np.ones(kps64.shape[:2]),
                                  uncertainty=np.zeros(kps64.shape[:2]),
@@ -344,19 +345,43 @@ class TestTotalLoss:
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
         res = total_loss(student, x, labels, targets, cfg, projection=projection)
         kps64, fmaps = student.forward(x)
-        kps64 = np.asarray(kps64, dtype=float)
+        centers = _region_centers(np.asarray(kps64, dtype=float))
         extent = targets.regions.shape[-1]
-        sregions, _ = _extract_regions(fmaps, _region_centers(kps64), extent)
         adapted = np.einsum("ct,bntij->bncij", projection, targets.regions)
         per_scene = []
         for b in range(x.shape[0]):
             t = [FeatureRegion(adapted[b, n].astype(float), (0, 0))
                  for n in range(adapted.shape[1])]
-            s = [FeatureRegion(sregions[b, m].astype(float), (0, 0))
-                 for m in range(sregions.shape[1])]
-            loss_b, _ = pfkd_loss(t, s, res.plans[b])
-            per_scene.append(loss_b)
+            s = [FeatureRegion(padded_window(fmaps[b], c, extent).astype(float),
+                               (0, 0)) for c in centers[b]]
+            per_scene.append(loop_pfkd_loss(t, s, res.plans[b]))
         assert res.parts["feat"] == pytest.approx(np.mean(per_scene), rel=1e-9)
+
+    def test_reports_solver_state(self):
+        cfg = dataclasses.replace(TINY, gamma_f=0.0)
+        student, x, labels = _student_and_batch(cfg)
+        targets = _synthetic_targets(cfg, student, x, np.random.default_rng(7))
+        res = total_loss(student, x, labels, targets, cfg)
+        kps64 = np.asarray(student.forward(x)[0], dtype=float)
+        B, M = kps64.shape[:2]
+        N = targets.predictions.shape[1]
+        dist = np.linalg.norm(kps64[:, :, None, :]
+                              - targets.predictions[:, None, :, :], axis=3)
+        plans, _, _, iterations, converged = sinkhorn_unbalanced_batch(
+            dist, np.full((B, M), 1.0 / M), targets.col_weights / N,
+            0.01 * dist.mean(axis=(1, 2)), cfg.tau, max_iters=200, tol=1e-5)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        np.testing.assert_array_equal(res.plans, plans)
+        frozen = total_loss(student, x, labels, targets, cfg, plans=res.plans)
+        assert frozen.iterations is None and frozen.converged is None
+
+    def test_nonfinite_keypoints_raise_divergence(self):
+        cfg = dataclasses.replace(TINY, gamma_f=0.0)
+        student, x, labels = _student_and_batch(cfg)
+        targets = _synthetic_targets(cfg, student, x, np.random.default_rng(8))
+        targets.predictions[0, 0, 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="non-finite"):
+            total_loss(student, x, labels, targets, cfg)
 
     def test_missing_projection_rejected(self):
         cfg = dataclasses.replace(TINY, gamma_f=2.0)

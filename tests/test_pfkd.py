@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from otkd.errors import CenterOutsideMap, EmptyHead, ShapeMismatch
 from otkd.pfkd import (ConvLayerSpec, FeatureMap, FeatureRegion,
-                       adapt_region, aggregate_ensemble_regions,
-                       extract_region, init_projection, load_feature_map,
+                       extract_region, extract_regions, init_projection,
                        pfkd_loss, receptive_field_extent, region_center,
-                       save_feature_map)
+                       region_loss, scatter_region_grads)
 
 
 def impulse_hits(layers):
@@ -128,52 +127,15 @@ class TestExtractRegion:
             extract_region(self.make_map(), (0, -1), 3)
 
 
-class TestAdaptRegion:
-    def test_identity_projection_same_shape_is_noop(self):
-        rng = np.random.default_rng(0)
-        reg = FeatureRegion(rng.normal(size=(3, 5, 5)), (2, 2))
-        out = adapt_region(reg, 3, 5, 5, np.eye(3))
-        np.testing.assert_allclose(out.data, reg.data)
-        assert out.center == reg.center
-
-    def test_channel_mix(self):
-        reg = FeatureRegion(np.stack([np.full((2, 2), 1.0),
-                                      np.full((2, 2), 3.0)]), (0, 0))
-        out = adapt_region(reg, 1, 2, 2, np.array([[0.5, 0.5]]))
-        np.testing.assert_allclose(out.data, np.full((1, 2, 2), 2.0))
-
-    def test_pooling_averages_blocks(self):
-        data = np.arange(16, dtype=float).reshape(1, 4, 4)
-        out = adapt_region(FeatureRegion(data, (0, 0)), 1, 2, 2, np.eye(1))
-        np.testing.assert_allclose(out.data[0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_pooling_uneven_edges(self):
-        # 3 -> 2 pools with window 2: last window covers the single trailing row
-        data = np.arange(9, dtype=float).reshape(1, 3, 3)
-        out = adapt_region(FeatureRegion(data, (0, 0)), 1, 2, 2, np.eye(1))
-        np.testing.assert_allclose(out.data[0], [[2.0, 3.5], [6.5, 8.0]])
-
-    def test_rejects_projection_shape(self):
-        reg = FeatureRegion(np.zeros((3, 2, 2)), (0, 0))
-        with pytest.raises(ShapeMismatch):
-            adapt_region(reg, 2, 2, 2, np.eye(3))
-
-    def test_rejects_upsampling(self):
-        reg = FeatureRegion(np.zeros((1, 2, 2)), (0, 0))
-        with pytest.raises(ShapeMismatch):
-            adapt_region(reg, 1, 3, 3, np.eye(1))
-
-
 class TestInitProjection:
     def test_block_identity_when_divisible(self):
         proj = init_projection(2, 4)
         np.testing.assert_array_equal(
             proj, [[0.5, 0.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5]])
         # the blocks average paired channels exactly
-        reg = FeatureRegion(np.stack([np.full((1, 1), v) for v in (1., 2., 3., 4.)]),
-                            (0, 0))
-        out = adapt_region(reg, 2, 1, 1, proj)
-        np.testing.assert_allclose(out.data.ravel(), [2.0, 3.0])
+        data = np.array([1.0, 2.0, 3.0, 4.0]).reshape(4, 1, 1)
+        out = np.einsum("sc,chw->shw", proj, data)
+        np.testing.assert_allclose(out.ravel(), [2.0, 3.0])
 
     def test_random_fallback(self):
         proj = init_projection(3, 7, np.random.default_rng(1))
@@ -276,52 +238,100 @@ class TestPfkdLoss:
         assert loss >= 0.0
 
 
-class TestEnsembleRegions:
-    def test_elementwise_mean(self):
-        a = [FeatureRegion(np.full((1, 2, 2), 1.0), (3, 4), 0)]
-        b = [FeatureRegion(np.full((1, 2, 2), 5.0), (9, 9), 0)]
-        out = aggregate_ensemble_regions([a, b])
-        np.testing.assert_allclose(out[0].data, np.full((1, 2, 2), 3.0))
-        assert out[0].center == (3, 4)  # first member's center wins
-        assert out[0].source_keypoint == 0
+def padded_window(data, center, extent):
+    """Reference window: zero-pad the (C, H, W) map, then slice it."""
+    lo = (extent - 1) // 2
+    padded = np.pad(data, ((0, 0), (lo, extent), (lo, extent)))
+    r, c = center
+    return padded[:, r:r + extent, c:c + extent]
 
-    def test_rejects_count_mismatch(self):
-        reg = FeatureRegion(np.zeros((1, 1, 1)), (0, 0))
-        with pytest.raises(ShapeMismatch):
-            aggregate_ensemble_regions([[reg], [reg, reg]])
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            aggregate_ensemble_regions(
-                [[FeatureRegion(np.zeros((1, 1, 1)), (0, 0))],
-                 [FeatureRegion(np.zeros((1, 2, 2)), (0, 0))]])
+def loop_region_grads(T, S, P):
+    """Reference student and teacher gradients of one scene's loss by loops."""
+    N, M = len(T), len(S)
+    coef = 2.0 / (N * M * S[0].size)
+    dS = np.zeros_like(S)
+    dT = np.zeros_like(T)
+    for i in range(N):
+        for j in range(M):
+            dS[j] += coef * P[j, i] * (S[j] - T[i])
+            dT[i] += coef * P[j, i] * (T[i] - S[j])
+    return dS, dT
+
+
+def region_dims():
+    return st.tuples(st.integers(2, 4), st.integers(1, 4), st.integers(1, 4),
+                     st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+                     st.integers(0, 10_000))
+
+
+class TestBatchedForms:
+    """The batched library forms against per-scene loop references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(region_dims())
+    def test_region_loss_matches_scene_loop(self, dims):
+        B, M, N, C, H, W, seed = dims
+        rng = np.random.default_rng(seed)
+        T = rng.normal(size=(B, N, C, H, W))
+        S = rng.normal(size=(B, M, C, H, W))
+        P = rng.uniform(0, 1, (B, M, N))
+        loss, dS, dT = region_loss(T, S, P)
+        ref = np.mean([loop_pfkd_loss([FeatureRegion(t, (0, 0)) for t in T[b]],
+                                      [FeatureRegion(x, (0, 0)) for x in S[b]],
+                                      P[b]) for b in range(B)])
+        assert loss == pytest.approx(ref, rel=1e-12)
+        for b in range(B):
+            rS, rT = loop_region_grads(T[b], S[b], P[b])
+            np.testing.assert_allclose(dS[b], rS / B, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(dT[b], rT / B, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(region_dims())
+    def test_extract_matches_padded_window(self, dims):
+        B, K, C, H, W, extent, seed = dims
+        rng = np.random.default_rng(seed)
+        fmaps = rng.normal(size=(B, C, H, W))
+        centers = np.stack([rng.integers(0, H, (B, K)),
+                            rng.integers(0, W, (B, K))], axis=-1)
+        regions, _ = extract_regions(fmaps, centers, extent)
+        for b in range(B):
+            for k in range(K):
+                np.testing.assert_array_equal(
+                    regions[b, k], padded_window(fmaps[b], centers[b, k], extent))
+
+    @settings(max_examples=40, deadline=None)
+    @given(region_dims())
+    def test_scatter_is_the_adjoint_of_extract(self, dims):
+        B, K, C, H, W, extent, seed = dims
+        rng = np.random.default_rng(seed)
+        fmaps = rng.normal(size=(B, C, H, W))
+        centers = np.stack([rng.integers(0, H, (B, K)),
+                            rng.integers(0, W, (B, K))], axis=-1)
+        regions, idx = extract_regions(fmaps, centers, extent)
+        d = rng.normal(size=regions.shape)
+        scattered = np.zeros_like(fmaps)
+        scatter_region_grads(scattered, d, idx)
+        # <extract(x), d> == <x, scatter(d)> for every x
+        assert (regions * d).sum() == pytest.approx((fmaps * scattered).sum(),
+                                                    rel=1e-12, abs=1e-12)
+
+    def test_rejects_center_outside(self):
+        fmaps = np.zeros((2, 1, 4, 6))
+        with pytest.raises(CenterOutsideMap):
+            extract_regions(fmaps, np.array([[[0, 5]], [[4, 0]]]), 3)
+        extract_regions(fmaps, np.array([[[0, 5]], [[3, 0]]]), 3)
+
+    def test_rejects_plan_and_region_shapes(self):
+        T = np.zeros((2, 3, 1, 2, 2))
+        S = np.zeros((2, 4, 1, 2, 2))
+        with pytest.raises(ShapeMismatch, match="student-major"):
+            region_loss(T, S, np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeMismatch, match="adaptation"):
+            region_loss(T, S[:, :, :, :1], np.zeros((2, 4, 3)))
 
 
 class TestFeatureMapIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        fmap = FeatureMap(rng.normal(size=(3, 4, 5)).astype(np.float32), 0.25)
-        path = tmp_path / "fmap.bin"
-        save_feature_map(fmap, path)
-        back = load_feature_map(path)
-        assert back.data.shape == (3, 4, 5)
-        assert back.delta == pytest.approx(0.25)
-        np.testing.assert_array_equal(back.data, fmap.data.astype(np.float32))
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"\x00" * 7)
-        with pytest.raises(ValueError, match="truncated"):
-            load_feature_map(path)
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        fmap = FeatureMap(np.zeros((1, 2, 2)), 0.5)
-        path = tmp_path / "fmap.bin"
-        save_feature_map(fmap, path)
-        path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-        with pytest.raises(ValueError, match="bytes"):
-            load_feature_map(path)
-
     def test_feature_map_validation(self):
         with pytest.raises(ValueError):
             FeatureMap(np.zeros((2, 2)), 0.25)

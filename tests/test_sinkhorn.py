@@ -238,6 +238,35 @@ class TestValidation:
         with pytest.raises(NegativeWeight):
             sinkhorn_unbalanced(np.ones((2, 2)), [0.0, 0.0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("spoil,error", [
+        (lambda c, a, b: c.__setitem__((1, 2, 3), np.nan), ValueError),
+        (lambda c, a, b: c.__setitem__((1, 0, 0), -0.5), ValueError),
+        (lambda c, a, b: a.__setitem__((1, 2), -0.25), NegativeWeight),
+        (lambda c, a, b: b.__setitem__(1, 0.0), NegativeWeight),
+        (lambda c, a, b: a.__setitem__(1, 0.0), NegativeWeight),
+    ], ids=["nan-cost", "negative-cost", "negative-weight", "zero-teacher",
+            "zero-student"])
+    def test_batch_and_single_reject_alike(self, spoil, error):
+        # one bad instance among valid ones: the single solver sees it alone
+        rng = np.random.default_rng(11)
+        costs = rng.uniform(0.1, 1.0, (3, 4, 5))
+        a = np.full((3, 4), 0.25)
+        b = np.full((3, 5), 0.2)
+        spoil(costs, a, b)
+        with pytest.raises(error):
+            sinkhorn_unbalanced(costs[1], a[1], b[1])
+        with pytest.raises(error):
+            sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
+
+    @pytest.mark.parametrize("costs,a,b,error", [
+        (np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 2)), DimensionMismatch),
+        (np.ones((2, 3, 0)), np.ones((2, 3)), np.ones((2, 0)), EmptySet),
+        (np.ones((3, 3)), np.ones(3), np.ones(3), EmptySet),
+    ])
+    def test_batch_rejects_shapes(self, costs, a, b, error):
+        with pytest.raises(error):
+            sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
+
     @pytest.mark.parametrize("kw", [dict(epsilon=0.0), dict(epsilon=0.1, tau=0.0),
                                     dict(epsilon=0.1, max_iters=0),
                                     dict(epsilon=0.1, tol=0.0)])

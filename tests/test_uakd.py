@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from otkd.errors import DimensionMismatch
 from otkd.geometry import KeypointSet
 from otkd.sinkhorn import SinkhornConfig
-from otkd.uakd import prediction_loss, uniform_ot_baseline_loss
+from otkd.uakd import prediction_loss, transport_loss
 
 CFG = SinkhornConfig(epsilon=0.05, tau=10.0)
 
@@ -111,23 +111,6 @@ class TestWeighting:
         alone = prediction_loss(s, kp((2.0, 0.0)), [0.5, 0.5], [1.0], CFG)
         np.testing.assert_allclose(res.gradient, alone.gradient, atol=1e-6)
 
-    def test_uniform_baseline_is_lambda_zero(self):
-        rng = np.random.default_rng(5)
-        s = KeypointSet(rng.uniform(0, 10, (3, 2)))
-        t = KeypointSet(rng.uniform(0, 10, (5, 2)))
-        base = uniform_ot_baseline_loss(s, t, cfg=CFG)
-        explicit = prediction_loss(s, t, np.full(3, 1 / 3), np.full(5, 0.2), CFG)
-        assert base.loss == explicit.loss
-        np.testing.assert_array_equal(base.gradient, explicit.gradient)
-
-    def test_uniform_baseline_accepts_existence_scores(self):
-        rng = np.random.default_rng(6)
-        s = KeypointSet(rng.uniform(0, 10, (3, 2)))
-        t = KeypointSet(rng.uniform(0, 10, (4, 2)))
-        ex = np.array([1.0, 0.5, 0.0, 1.0])
-        res = uniform_ot_baseline_loss(s, t, existence=ex, cfg=CFG)
-        assert (res.plan.entries[:, 2] == 0.0).all()
-
 
 class TestInvariances:
     def test_translation_invariance(self):
@@ -177,3 +160,38 @@ def test_loss_nonnegative_and_gradient_bounded(seed):
     # each row's pull is at most its transported mass (triangle inequality)
     row_norm = np.linalg.norm(res.gradient, axis=1)
     assert (row_norm <= res.plan.row_marginal + 1e-9).all()
+
+
+def loop_transport_loss(P, student, teacher):
+    """Reference for one scene: explicit loops over keypoint pairs."""
+    loss = 0.0
+    grad = np.zeros_like(student)
+    for i in range(len(student)):
+        for j in range(len(teacher)):
+            d = student[i] - teacher[j]
+            r = np.hypot(*d)
+            loss += P[i, j] * r
+            if r > 0:
+                grad[i] += P[i, j] * d / r
+    return loss, grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 10_000))
+def test_transport_loss_matches_scene_loop(B, m, n, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0, 20, (B, m, 2))
+    t = rng.uniform(0, 20, (B, n, 2))
+    t[0, 0] = s[0, 0]  # a coincident pair contributes no pull
+    P = rng.uniform(0, 1, (B, m, n))
+    loss, grad = transport_loss(P, s, t)
+    refs = [loop_transport_loss(P[b], s[b], t[b]) for b in range(B)]
+    assert loss == pytest.approx(np.mean([r[0] for r in refs]), rel=1e-12)
+    np.testing.assert_allclose(grad, np.stack([r[1] for r in refs]) / B,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_transport_loss_rejects_shapes():
+    with pytest.raises(DimensionMismatch):
+        transport_loss(np.zeros((2, 3, 4)), np.zeros((2, 3, 2)), np.zeros((2, 3, 2)))

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from otkd.errors import (DimensionMismatch, EmptyEnsemble, NoContributors,
                          NonpositiveScale, OutOfRange, ZeroCount)
 from otkd.uncertainty import (aggregate, blend_weights, ensemble_statistics,
-                              load_ensemble_csv, majority_vote_align,
-                              student_uniform_weights, teacher_confidence,
-                              variance_to_uncertainty)
+                              majority_vote_align, student_uniform_weights,
+                              teacher_confidence, variance_to_uncertainty)
 
 
 def two_pass_stats(members, present):
@@ -162,37 +161,6 @@ class TestWeights:
     def test_blend_stays_between_inputs(self, c, e, lam):
         w = blend_weights(np.array([c]), np.array([e]), lam)[0]
         assert min(c, e) - 1e-12 <= w <= max(c, e) + 1e-12
-
-
-class TestCsvRoundTrip:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "ens.csv"
-        path.write_text(
-            "member_id,keypoint_id,x,y,present\n"
-            "# a comment line\n"
-            "0,0,1.5,2.5,1\n"
-            "0,1,3.0,4.0,1\n"
-            "1,0,1.7,2.3,1\n"
-            "1,1,0.0,0.0,0\n")
-        members, present = load_ensemble_csv(path)
-        assert members.shape == (2, 2, 2)
-        np.testing.assert_array_equal(present, [[True, True], [True, False]])
-        np.testing.assert_allclose(members[1, 0], [1.7, 2.3])
-        # absent and missing rows both mean "not contributed"
-        pred = aggregate(members, present, scale=1.0)
-        np.testing.assert_allclose(pred.mean[1], [3.0, 4.0])
-
-    def test_rejects_malformed_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,0,1.0,2.0\n")
-        with pytest.raises(ValueError, match="5 columns"):
-            load_ensemble_csv(path)
-
-    def test_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("member_id,keypoint_id,x,y,present\n")
-        with pytest.raises(EmptyEnsemble):
-            load_ensemble_csv(path)
 
 
 def test_aggregate_pipeline_end_to_end():
