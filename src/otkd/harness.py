@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,7 +33,7 @@ from .pfkd import (extract_regions, init_projection, receptive_field_extent,
                    region_loss, scatter_region_grads)
 from .pnp import Correspondences, pnp_solve
 from .regressor import RegressorSpec, ToyRegressor
-from .sinkhorn import sinkhorn_unbalanced_batch
+from .sinkhorn import default_epsilon, sinkhorn_unbalanced_batch
 from .uakd import transport_loss
 from .uncertainty import (aggregate, blend_weights, student_uniform_weights,
                           teacher_confidence)
@@ -58,6 +59,9 @@ _BLOB_SIGMA = 1.2
 _BLOB_AMPLITUDE = 0.25
 
 _DT = np.float32
+_SOLVE_CAP = 200  # iterations of each per-epoch transport solve
+
+log = logging.getLogger("otkd")
 
 
 # --------------------------------------------------------------------------
@@ -378,12 +382,12 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
             dist = np.linalg.norm(kps64[:, :, None, :] - mus[:, None, :, :], axis=3)
             if not np.isfinite(dist).all():
                 raise TrainingDiverged("non-finite keypoints reached the transport cost")
-            eps = 0.01 * np.maximum(dist.mean(axis=(1, 2)), 1e-9)
             a = np.broadcast_to(student_uniform_weights(M), (B, M))
             b = targets.col_weights / N
             f0, g0 = warm_start if warm_start is not None else (None, None)
             plans, f, g, iterations, converged = sinkhorn_unbalanced_batch(
-                dist, a, b, eps, cfg.tau, max_iters=200, tol=1e-5, f0=f0, g0=g0)
+                dist, a, b, default_epsilon(dist), cfg.tau, max_iters=_SOLVE_CAP,
+                tol=1e-5, f0=f0, g0=g0)
             potentials = (f, g)
         if use_pred:
             loss_pred, dpred = transport_loss(plans, kps64, mus)
@@ -419,27 +423,33 @@ def _train(student: ToyRegressor, encodings: np.ndarray, keypoints_px: np.ndarra
            targets: DistillTargets | None, cfg: TrainingConfig,
            projection: np.ndarray | None):
     """Plain fixed-step gradient descent; returns (initial, final) loss and the
-    trained projection.  Raises TrainingDiverged if the final loss does not
-    improve on the initial one."""
+    trained projection, and logs how many transport solves hit their cap.
+    Raises TrainingDiverged if the final loss does not improve on the first."""
     warm = None
     initial = None
-    for _ in range(cfg.epochs):
+    solves = capped = 0
+    for epoch in range(cfg.epochs + 1):
         res = total_loss(student, encodings, keypoints_px, targets, cfg,
                          projection=projection, warm_start=warm)
-        if initial is None:
-            initial = res.loss
         if res.potentials is not None:
             warm = res.potentials
+            solves += 1
+            capped += not res.converged
+        if epoch == cfg.epochs:  # the final evaluation takes no step
+            break
+        if initial is None:
+            initial = res.loss
         student.gd_step(cfg.learning_rate)
         if res.projection_gradient is not None:
             projection = projection - (cfg.learning_rate
                                        * res.projection_gradient).astype(projection.dtype)
-    final = total_loss(student, encodings, keypoints_px, targets, cfg,
-                       projection=projection, warm_start=warm).loss
-    if not final < initial:
+    if solves:
+        log.info("%d of %d transport solves stopped at the %d-iteration cap",
+                 capped, solves, _SOLVE_CAP)
+    if not res.loss < initial:
         raise TrainingDiverged(
-            f"loss failed to improve: initial {initial!r}, final {final!r}")
-    return initial, final, projection
+            f"loss failed to improve: initial {initial!r}, final {res.loss!r}")
+    return initial, res.loss, projection
 
 
 # --------------------------------------------------------------------------

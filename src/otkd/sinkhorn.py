@@ -7,20 +7,21 @@ The solver minimizes
 by log-domain Sinkhorn iteration.  Both marginals are KL-relaxed with the same
 strength ``tau``; ``tau = math.inf`` gives the exact balanced limit.  Rows are
 the student-side points, columns the teacher side.
+
+One loop, `_iterate`, serves both solvers for any number of leading axes.
+The single solver drops zero-weight rows and columns before iterating; the
+batched one keeps them with -inf potentials from its cold start on, hence
+exactly-zero plan entries and the single solver's iterates on the rest.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySet, NegativeWeight
 from .geometry import KeypointSet
-
-# mass below which a marginal entry is treated as exactly zero and its
-# row/column excluded from the iteration (the KL penalty forces zero anyway)
-_ZERO_MASS = 0.0
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,6 @@ class TransportPlan:
     col_marginal: np.ndarray   # (N,) column sums
     converged: bool
     iterations: int
-    # final dual potentials; feed back through `warm_start=` to resume
-    potential_rows: np.ndarray | None = None
-    potential_cols: np.ndarray | None = None
 
     def transport_cost(self, cost: np.ndarray) -> float:
         return float((self.entries * cost).sum())
@@ -65,19 +63,21 @@ def cost_matrix(student: KeypointSet, teacher: KeypointSet,
     return sq if squared else np.sqrt(sq)
 
 
+def default_epsilon(cost: np.ndarray):
+    """1% of the mean cost of each (..., M, N) instance, floored above zero."""
+    return 0.01 * np.maximum(cost.mean(axis=(-2, -1)), 1e-9)
+
+
 def default_config(cost: np.ndarray, **overrides) -> SinkhornConfig:
     """Defaults with the regularization set relative to the cost scale."""
-    eps = 0.01 * float(np.mean(cost))
-    if eps <= 0:  # all-zero cost: any positive value converges immediately
-        eps = 1e-6
-    kw = dict(epsilon=eps, tau=10.0, max_iters=1000, tol=1e-6)
+    kw = dict(epsilon=float(default_epsilon(cost)), tau=10.0, max_iters=1000, tol=1e-6)
     kw.update(overrides)
     return SinkhornConfig(**kw)
 
 
 def _logsumexp_keep(x: np.ndarray, axis: int) -> np.ndarray:
     m = x.max(axis=axis, keepdims=True)
-    return m.squeeze(axis) + np.log(np.exp(x - m).sum(axis=axis))
+    return m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
 
 
 def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
@@ -104,21 +104,27 @@ def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
     return C, a, b
 
 
-def _iterate(C, la, lb, eps, fi, f, g, max_iters, tol):
-    """Core damped log-domain loop. Returns (f, g, iterations, converged)."""
-    for it in range(1, max_iters + 1):
-        f_new = fi * (eps * la - eps * _logsumexp_keep((g[None, :] - C) / eps, 1))
-        g_new = fi * (eps * lb - eps * _logsumexp_keep((f_new[:, None] - C) / eps, 0))
-        delta = max(np.abs(f_new - f).max(), np.abs(g_new - g).max()) / eps
-        f, g = f_new, g_new
-        if delta < tol:
-            return f, g, it, True
+def _iterate(C, la, lb, eps, tau, f, g, max_iters, tol):
+    """Damped log-domain loop over costs (..., M, N), log-marginals and
+    potentials shaped (..., M, 1) and (..., 1, N); eps is a float or
+    broadcasts as (..., 1, 1).  Returns (f, g, iterations, converged)."""
+    fi = 1.0 if math.isinf(tau) else tau / (tau + eps)
+    eps_min = np.min(eps)
+    # -inf potentials (empty rows/cols) are fixed points; fmax skips their NaN
+    with np.errstate(invalid="ignore"):
+        for it in range(1, max_iters + 1):
+            f_new = fi * (eps * la - eps * _logsumexp_keep((g - C) / eps, -1))
+            g_new = fi * (eps * lb - eps * _logsumexp_keep((f_new - C) / eps, -2))
+            delta = max(np.fmax.reduce(np.abs(f_new - f), axis=None),
+                        np.fmax.reduce(np.abs(g_new - g), axis=None)) / eps_min
+            f, g = f_new, g_new
+            if delta < tol:
+                return f, g, it, True
     return f, g, max_iters, False
 
 
 def sinkhorn_unbalanced(cost: np.ndarray, alpha_s, alpha_t,
-                        cfg: SinkhornConfig | None = None,
-                        warm_start: TransportPlan | None = None) -> TransportPlan:
+                        cfg: SinkhornConfig | None = None) -> TransportPlan:
     """Solve for the transport plan; zero-weight rows/columns carry zero mass.
 
     With ``cfg=None`` the defaults are used (epsilon relative to mean cost).
@@ -130,49 +136,35 @@ def sinkhorn_unbalanced(cost: np.ndarray, alpha_s, alpha_t,
     if cfg is None:
         cfg = default_config(C)
 
-    rows = a > _ZERO_MASS
-    cols = b > _ZERO_MASS
+    rows, cols = a > 0, b > 0
     Cs = C[np.ix_(rows, cols)]
-    la = np.log(a[rows])
-    lb = np.log(b[cols])
-
-    f = np.zeros(int(rows.sum()))
-    g = np.zeros(int(cols.sum()))
-    if (warm_start is not None and warm_start.potential_rows is not None
-            and warm_start.potential_rows.shape == f.shape
-            and warm_start.potential_cols.shape == g.shape):
-        f = warm_start.potential_rows.copy()
-        g = warm_start.potential_cols.copy()
-
-    fi = 1.0 if math.isinf(cfg.tau) else cfg.tau / (cfg.tau + cfg.epsilon)
+    la = np.log(a[rows])[:, None]
+    lb = np.log(b[cols])[None, :]
+    f, g = np.zeros_like(la), np.zeros_like(lb)
 
     total_iters = 0
-    if cfg.anneal and Cs.size:
+    if cfg.anneal:
         # geometric schedule from a coarse epsilon down toward the target;
         # each stage only warm-starts the next, so its own cap is soft
         scale = max(float(Cs.mean()), cfg.epsilon)
         e = 0.5 * scale
         while e > cfg.epsilon * 4.0:
-            fi_e = 1.0 if math.isinf(cfg.tau) else cfg.tau / (cfg.tau + e)
-            f, g, it, _ = _iterate(Cs, la, lb, e, fi_e, f, g, cfg.max_iters, cfg.tol)
+            f, g, it, _ = _iterate(Cs, la, lb, e, cfg.tau, f, g, cfg.max_iters, cfg.tol)
             total_iters += it
             e /= 5.0
 
-    f, g, it, converged = _iterate(Cs, la, lb, cfg.epsilon, fi, f, g,
+    f, g, it, converged = _iterate(Cs, la, lb, cfg.epsilon, cfg.tau, f, g,
                                    cfg.max_iters, cfg.tol)
     total_iters += it
 
     P = np.zeros_like(C)
-    if Cs.size:
-        P[np.ix_(rows, cols)] = np.exp((f[:, None] + g[None, :] - Cs) / cfg.epsilon)
+    P[np.ix_(rows, cols)] = np.exp((f + g - Cs) / cfg.epsilon)
     return TransportPlan(
         entries=P,
         row_marginal=P.sum(axis=1),
         col_marginal=P.sum(axis=0),
         converged=converged,
         iterations=total_iters,
-        potential_rows=f,
-        potential_cols=g,
     )
 
 
@@ -192,44 +184,29 @@ def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
                               max_iters: int = 1000, tol: float = 1e-6,
                               f0: np.ndarray | None = None,
                               g0: np.ndarray | None = None):
-    """Solve a stack of independent instances with one shared iteration loop.
+    """Solve a stack of independent instances in one vectorized loop.
 
-    Same update rule as :func:`sinkhorn_unbalanced` (no annealing; pass warm
-    starts instead).  Exists because per-epoch re-solves in the training
-    harness are thousands of tiny problems: looping Python-side dominates the
-    runtime, one vectorized loop does not.
+    The loop of :func:`sinkhorn_unbalanced`, without annealing (pass warm
+    starts instead) and with one ``tol`` check across the stack.  Exists
+    because per-epoch re-solves in the training harness are thousands of tiny
+    problems: looping Python-side dominates the runtime, one vectorized loop
+    does not.
 
     costs (B, M, N); alpha_s (B, M); alpha_t (B, N) — zero entries allowed and
-    produce exactly-zero rows/columns.  epsilon: scalar or (B,) per-instance.
+    produce exactly-zero rows/columns.  epsilon: scalar or (B,) per-instance;
+    epsilon, tau, max_iters and tol must pass `SinkhornConfig`'s checks.
     Returns (plans (B, M, N), f (B, M), g (B, N), iterations, all_converged).
     """
     C, a, b = _check_marginals(costs, alpha_s, alpha_t, ndim=3)
     B, M, N = C.shape
-    eps = np.broadcast_to(np.asarray(epsilon, dtype=float).reshape(-1, 1), (B, 1)).copy()
-    if (eps <= 0).any():
-        raise ValueError("epsilon must be > 0")
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=float).reshape(-1, 1, 1), (B, 1, 1))
+    SinkhornConfig(float(eps.min()), tau, max_iters, tol)  # raises on bad parameters
     with np.errstate(divide="ignore"):  # log(0) -> -inf marks empty support
-        la = np.log(a)
-        lb = np.log(b)
-    fi = 1.0 if math.isinf(tau) else tau / (tau + eps)
-
-    f = np.zeros((B, M)) if f0 is None else f0.copy()
-    g = np.zeros((B, N)) if g0 is None else g0.copy()
-    eps_r = eps[:, :, None]
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        f_new = fi * (eps * la - eps * _logsumexp_keep((g[:, None, :] - C) / eps_r, 2))
-        g_new = fi * (eps * lb - eps * _logsumexp_keep((f_new[:, :, None] - C) / eps_r, 1))
-        # -inf potentials (empty rows/cols) are fixed points; ignore their delta
-        with np.errstate(invalid="ignore"):
-            df = np.abs(f_new - f)
-            dg = np.abs(g_new - g)
-        delta = max(df[np.isfinite(df)].max(initial=0.0),
-                    dg[np.isfinite(dg)].max(initial=0.0)) / eps.min()
-        f, g = f_new, g_new
-        if delta < tol:
-            converged = True
-            break
-    P = np.exp((f[:, :, None] + g[:, None, :] - C) / eps_r)
-    return P, f, g, it, converged
+        la = np.log(a)[:, :, None]
+        lb = np.log(b)[:, None, :]
+    # a cold start puts empty support at -inf at once, as if it were dropped
+    f = np.where(a > 0, 0.0, -np.inf)[:, :, None] if f0 is None else f0.reshape(B, M, 1)
+    g = np.where(b > 0, 0.0, -np.inf)[:, None, :] if g0 is None else g0.reshape(B, 1, N)
+    f, g, it, converged = _iterate(C, la, lb, eps, tau, f, g, max_iters, tol)
+    P = np.exp((f + g - C) / eps)
+    return P, f[:, :, 0], g[:, 0, :], it, converged

@@ -54,8 +54,7 @@ def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
 
 def prediction_loss(student: KeypointSet, teacher: KeypointSet,
                     alpha_s: np.ndarray, alpha_t: np.ndarray,
-                    cfg: SinkhornConfig | None = None,
-                    warm_start: TransportPlan | None = None) -> PredictionLossResult:
+                    cfg: SinkhornConfig | None = None) -> PredictionLossResult:
     """Solve the plan, then evaluate `transport_loss` on it for one scene."""
     M, N = len(student), len(teacher)
     a = np.asarray(alpha_s, dtype=float).reshape(-1)
@@ -66,7 +65,7 @@ def prediction_loss(student: KeypointSet, teacher: KeypointSet,
     C = cost_matrix(student, teacher)
     if cfg is None:
         cfg = default_config(C)
-    plan = sinkhorn_unbalanced(C, a, b, cfg, warm_start=warm_start)
+    plan = sinkhorn_unbalanced(C, a, b, cfg)
     loss, grad = transport_loss(plan.entries[None], student.points[None],
                                 teacher.points[None])
     return PredictionLossResult(loss=loss, plan=plan, gradient=grad[0])

@@ -2,9 +2,9 @@
 
 `bench/layers.py` wraps program functions by the names they are looked up
 under, and `bench/crosscheck.py` hooks the log-sum-exp helper that runs twice
-per Sinkhorn iteration.  A rename that the benchmark does not follow is
-reported there as an absent layer and reads 0, so these tests import the
-benchmark's own files, unchanged, and fail instead.
+per Sinkhorn iteration of either solver.  A rename that the benchmark does
+not follow is reported there as an absent layer and reads 0, so these tests
+import the benchmark's own files, unchanged, and fail instead.
 """
 import dataclasses
 import importlib
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otkd import harness
+from otkd import harness, sinkhorn
 from test_harness import TINY, _student_and_batch, _synthetic_targets
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -49,3 +49,23 @@ def test_hooks_count_one_solve(bench):
     assert batch.counts == {"iters": res.iterations,
                             "unconverged": int(not res.converged)}
     assert hook.stats["sinkhorn.lse"].calls == 2 * res.iterations
+
+
+def test_hooks_count_one_annealed_single_solve(bench):
+    # the solve workload's solver, looked up where bench/workloads.py does
+    layers, crosscheck = bench
+    rng = np.random.default_rng(5)
+    cost = rng.uniform(0.1, 1.0, (6, 7))
+    b = np.full(7, 1 / 6)
+    b[3] = 0.0
+    tracer = layers.Tracer()
+    hook = layers.Tracer((crosscheck.HALF_ITERATION,))
+    with tracer, hook:
+        plan = sinkhorn.sinkhorn_unbalanced(cost, np.full(6, 1 / 6), b)
+    assert sinkhorn.default_config(cost).anneal
+    single = tracer.stats["sinkhorn.single"]
+    assert "sinkhorn.single" not in tracer.broken_counters
+    assert single.calls == 1
+    assert single.counts == {"iters": plan.iterations,
+                             "unconverged": int(not plan.converged)}
+    assert hook.stats["sinkhorn.lse"].calls == 2 * plan.iterations

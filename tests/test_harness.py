@@ -2,10 +2,12 @@
 objective, and the five-condition experiment loop."""
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from otkd import harness
 from otkd.errors import ConfigError, TrainingDiverged
 from otkd.harness import (CONDITIONS, CSV_HEADER, DELTA, GRID, IN_CHANNELS,
                           NUM_CORNERS, DistillTargets, ExperimentReport,
@@ -461,6 +463,25 @@ class TestTrainLoop:
         wild = dataclasses.replace(cfg, epochs=5, learning_rate=50.0)
         with pytest.raises(TrainingDiverged, match="improve"):
             _train(student, x, labels, None, wild, None)
+
+    def test_capped_solves_are_logged(self, monkeypatch, caplog):
+        # every other solve reports a hit cap; the final evaluation counts too
+        cfg = dataclasses.replace(TINY, gamma_f=0.0, epochs=3)
+        student, x, labels = _student_and_batch(cfg)
+        targets = _synthetic_targets(cfg, student, x, np.random.default_rng(3))
+        calls = []
+
+        def solver(*args, **kwargs):
+            plans, f, g, iterations, _ = sinkhorn_unbalanced_batch(*args, **kwargs)
+            calls.append(None)
+            return plans, f, g, iterations, len(calls) % 2 == 0
+
+        monkeypatch.setattr(harness, "sinkhorn_unbalanced_batch", solver)
+        with caplog.at_level(logging.INFO, logger="otkd"):
+            _train(student, x, labels, targets, cfg, None)
+            _train(student, x, labels, None, cfg, None)  # no transport, no line
+        assert caplog.messages == [
+            "2 of 4 transport solves stopped at the 200-iteration cap"]
 
     def test_nokd_equals_uniform_with_zero_gammas(self, tiny_teachers):
         base = dataclasses.replace(TINY, epochs=25)

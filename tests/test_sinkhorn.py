@@ -147,20 +147,23 @@ class TestMechanics:
         assert plan.iterations >= 1
 
     def test_warm_start_resumes(self):
-        # a converged plan's potentials are a fixed point: resuming from them
-        # stops immediately instead of re-running the whole solve
+        # converged potentials are a fixed point: resuming from them through
+        # f0/g0, as the training harness does every epoch, stops at once; the
+        # zero-weight column's -inf potential stays out of the check
         rng = np.random.default_rng(6)
-        cost = rng.uniform(0.1, 1.0, (4, 4))
-        a = b = np.full(4, 0.25)
-        cold = sinkhorn_unbalanced(
-            cost, a, b, SinkhornConfig(epsilon=0.01, tau=10.0, tol=1e-5,
-                                       max_iters=20000))
-        assert cold.converged
-        warm = sinkhorn_unbalanced(
-            cost, a, b, SinkhornConfig(epsilon=0.01, tau=10.0, tol=1e-5,
-                                       anneal=False), warm_start=cold)
-        assert warm.iterations <= 2
-        np.testing.assert_allclose(warm.entries, cold.entries, atol=1e-4)
+        costs = rng.uniform(0.1, 1.0, (3, 4, 4))
+        a = np.full((3, 4), 0.25)
+        b = np.full((3, 4), 0.25)
+        b[1, 2] = 0.0
+        cold, f, g, iterations, converged = sinkhorn_unbalanced_batch(
+            costs, a, b, epsilon=0.01, tau=10.0, tol=1e-5, max_iters=20000)
+        assert converged and iterations > 2
+        assert np.isneginf(g[1, 2]) and np.isneginf(g).sum() == 1
+        warm, _, _, iterations, converged = sinkhorn_unbalanced_batch(
+            costs, a, b, epsilon=0.01, tau=10.0, tol=1e-5, f0=f, g0=g)
+        assert converged and iterations <= 2
+        np.testing.assert_allclose(warm, cold, atol=1e-4)
+        assert (warm[1, :, 2] == 0.0).all()
 
     def test_annealing_matches_direct_solve(self):
         # both routes end at the same fixed point, up to the stopping tolerance
@@ -179,21 +182,34 @@ class TestMechanics:
         assert direct.converged and annealed.converged
         np.testing.assert_allclose(annealed.entries, direct.entries, atol=1e-6)
 
-    def test_batch_agrees_with_single(self):
-        # identical update rule: a fixed iteration budget from a cold start
-        # must land both solvers on the same iterates
-        rng = np.random.default_rng(9)
-        costs = rng.uniform(0.1, 1.0, (6, 4, 5))
-        a = np.full((6, 4), 0.25)
-        b = rng.uniform(0.1, 0.4, (6, 5))
-        plans, f, g, _, _ = sinkhorn_unbalanced_batch(
-            costs, a, b, epsilon=0.02, tau=10.0, max_iters=300, tol=1e-30)
-        for i in range(6):
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8),
+           st.booleans(), st.integers(0, 10_000))
+    def test_batch_agrees_with_single(self, B, M, N, balanced, seed):
+        # one loop behind both entry points: a fixed iteration budget from a
+        # cold start lands on the same iterates, whether zero-weight rows and
+        # columns are dropped (single) or carried at -inf (batch)
+        rng = np.random.default_rng(seed)
+        costs = rng.uniform(0.0, 2.0, (B, M, N))
+        a = rng.uniform(0.05, 1.0, (B, M))
+        b = rng.uniform(0.05, 1.0, (B, N))
+        for k in range(B):
+            if M > 1 and rng.random() < 0.4:
+                a[k, rng.integers(M)] = 0.0
+            if N > 1 and rng.random() < 0.4:
+                b[k, rng.integers(N)] = 0.0
+        eps = rng.uniform(0.02, 0.2, B)
+        tau = math.inf if balanced else float(rng.uniform(0.5, 50.0))
+        plans, *_ = sinkhorn_unbalanced_batch(costs, a, b, eps, tau,
+                                              max_iters=50, tol=1e-300)
+        for k in range(B):
             single = sinkhorn_unbalanced(
-                costs[i], a[i], b[i],
-                SinkhornConfig(epsilon=0.02, tau=10.0, max_iters=300,
-                               tol=1e-30, anneal=False))
-            np.testing.assert_allclose(plans[i], single.entries, atol=1e-10)
+                costs[k], a[k], b[k],
+                SinkhornConfig(epsilon=eps[k], tau=tau, max_iters=50,
+                               tol=1e-300, anneal=False))
+            np.testing.assert_allclose(plans[k], single.entries, rtol=0, atol=1e-12)
+            assert (plans[k][a[k] == 0] == 0.0).all()
+            assert (plans[k][:, b[k] == 0] == 0.0).all()
 
     def test_batch_zero_column_exact(self):
         rng = np.random.default_rng(10)
@@ -215,6 +231,9 @@ class TestMechanics:
         cost = np.full((3, 3), 4.0)
         assert default_config(cost).epsilon == pytest.approx(0.04)
         assert default_config(cost, tau=math.inf).tau == math.inf
+        zero = np.zeros((3, 3))  # the floor keeps epsilon positive
+        assert default_config(zero).epsilon > 0
+        assert sinkhorn_unbalanced(zero, np.full(3, 1 / 3), np.full(3, 1 / 3)).converged
 
 
 class TestValidation:
@@ -269,10 +288,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("kw", [dict(epsilon=0.0), dict(epsilon=0.1, tau=0.0),
                                     dict(epsilon=0.1, max_iters=0),
-                                    dict(epsilon=0.1, tol=0.0)])
+                                    dict(epsilon=0.1, tol=0.0),
+                                    dict(epsilon=0.1, tau=-1.0),
+                                    dict(epsilon=0.1, tau=math.nan),
+                                    dict(epsilon=math.nan)])
     def test_config_validation(self, kw):
+        # the batched solver takes the same parameters loose, under the same rules
         with pytest.raises(ValueError):
             SinkhornConfig(**kw)
+        with pytest.raises(ValueError):
+            sinkhorn_unbalanced_batch(np.ones((2, 3, 3)), np.ones((2, 3)),
+                                      np.ones((2, 3)), **{"tau": 10.0, **kw})
 
 
 @settings(max_examples=30, deadline=None)

@@ -126,20 +126,6 @@ class TestInvariances:
         assert r2.loss == pytest.approx(r1.loss, rel=1e-9)
         np.testing.assert_allclose(r2.gradient, r1.gradient, atol=1e-9)
 
-    def test_warm_start_reuses_plan(self):
-        rng = np.random.default_rng(8)
-        s = KeypointSet(rng.uniform(0, 10, (4, 2)))
-        t = KeypointSet(rng.uniform(0, 10, (4, 2)))
-        a = np.full(4, 0.25)
-        b = np.full(4, 0.25)
-        cfg = SinkhornConfig(epsilon=0.05, tau=10.0, tol=1e-5, max_iters=20000)
-        first = prediction_loss(s, t, a, b, cfg)
-        resumed = prediction_loss(
-            s, t, a, b, SinkhornConfig(epsilon=0.05, tau=10.0, tol=1e-5,
-                                       anneal=False),
-            warm_start=first.plan)
-        assert resumed.plan.iterations <= 2
-
     def test_rejects_weight_mismatch(self):
         with pytest.raises(DimensionMismatch):
             prediction_loss(kp((0, 0)), kp((1, 1)), [1.0, 1.0], [1.0], CFG)
