@@ -6,7 +6,7 @@ Subcommands: `sinkhorn` (solve a transport instance from CSV files),
 
 Exit codes: 0 success, 1 parse/config errors, 2 non-convergence or
 degenerate geometry, 3 training divergence.  `experiment` writes the rows
-finished before any toolkit error.
+finished before any failure, Ctrl-C included, then re-raises it.
 `OTKD_LOG` sets log verbosity (debug/info/warning/error).
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -28,10 +27,10 @@ from .errors import (ConfigError, DegenerateConfiguration, OtkdError,
                      PointBehindCamera, TrainingDiverged)
 from .geometry import CameraIntrinsics, KeypointSet
 from .harness import (CONDITIONS, ExperimentReport, TrainingConfig,
-                      make_scenes, make_teacher_ensemble, run_experiment,
-                      write_report_csv, write_report_json)
+                      make_teacher_ensemble, run_experiment, write_report_csv,
+                      write_report_json)
 from .pnp import Correspondences, pnp_solve
-from .sinkhorn import SinkhornConfig, default_config, plan_residuals, sinkhorn_unbalanced
+from .sinkhorn import default_config, plan_residuals, sinkhorn_unbalanced
 
 log = logging.getLogger("otkd")
 
@@ -61,6 +60,8 @@ def _read_matrix(path: str) -> np.ndarray:
             row = [float(tok) for tok in body.replace(",", " ").split()]
         except ValueError as exc:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+        if not np.isfinite(row).all():
+            raise ConfigError(f"{path}: line {lineno}: values must be finite")
         if width is not None and len(row) != width:
             raise ConfigError(
                 f"{path}: line {lineno}: expected {width} values, got {len(row)}")
@@ -190,60 +191,36 @@ def cmd_sinkhorn(args) -> int:
     return EXIT_OK if plan.converged else EXIT_NUMERIC
 
 
-def _seed_rows(task):
-    condition, cfg, seed, teachers, corrupt = task
-    report = run_experiment(condition, cfg, corrupt, seeds=[seed],
-                            teachers=teachers)
-    return report.rows[0], report.uncertainty.get(seed)
-
-
 def cmd_experiment(args) -> int:
     cfg, corrupt, num_seeds = _experiment_settings(args)
     seeds = [cfg.seed + i for i in range(num_seeds)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    reports = []
-    failure = None
-    pool = None
+    reports = [ExperimentReport(c, [], {}, tuple(cfg.corrupt_keypoints)
+                                if corrupt else ()) for c in CONDITIONS]
+    finished = False
     try:
         log.info("training %d-member teacher ensemble", cfg.ensemble_size)
         teachers = make_teacher_ensemble(cfg)
-        tasks = [(condition, cfg, seed, teachers, corrupt)
-                 for condition in CONDITIONS for seed in seeds]
-        if args.jobs > 1:
-            pool = multiprocessing.Pool(args.jobs)
-            # imap, not map: rows finished before a divergence are kept.
-            produced = pool.imap(_seed_rows, tasks)
-        else:
-            produced = map(_seed_rows, tasks)
-        by_condition = {c: ExperimentReport(c, [], {}, tuple(cfg.corrupt_keypoints)
-                                            if corrupt else ())
-                        for c in CONDITIONS}
-        for (condition, _, seed, _, _), (row, u) in zip(tasks, produced):
-            rows.append(row)
-            by_condition[condition].rows.append(row)
-            if u is not None:
-                by_condition[condition].uncertainty[seed] = u
-        reports = [by_condition[c] for c in CONDITIONS]
-    except OtkdError as exc:  # main maps it to an exit code once outputs are kept
-        failure = exc
-    finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-    write_report_csv(rows, out_dir / "report.csv")
-    if reports:
-        write_report_json(reports, cfg, seeds, out_dir / "summary.json")
-    manifest = {"seeds": seeds, "config_sha256": _config_digest(cfg, corrupt, seeds),
-                "version": __version__}
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                      sort_keys=True) + "\n")
-    if failure is not None:
-        print(f"partial results in {out_dir}", file=sys.stderr)
-        raise failure
+        for report in reports:
+            for seed in seeds:
+                one = run_experiment(report.condition, cfg, corrupt, seeds=[seed],
+                                     teachers=teachers)
+                report.rows += one.rows
+                report.uncertainty.update(one.uncertainty)
+        finished = True
+    finally:  # on any exception, keep the rows finished so far
+        rows = [row for report in reports for row in report.rows]
+        write_report_csv(rows, out_dir / "report.csv")
+        if finished:
+            write_report_json(reports, cfg, seeds, out_dir / "summary.json")
+        manifest = {"seeds": seeds, "config_sha256": _config_digest(cfg, corrupt, seeds),
+                    "version": __version__}
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
+                                                          sort_keys=True) + "\n")
+        if not finished:
+            print(f"partial results in {out_dir}", file=sys.stderr)
     log.info("wrote %d rows to %s", len(rows), out_dir / "report.csv")
     return EXIT_OK
 
@@ -314,8 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", help="key=value config file")
     p_exp.add_argument("--out", default="otkd-out", help="output directory")
     p_exp.add_argument("--seed", type=int)
-    p_exp.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes over seeds")
     p_exp.add_argument("--num-seeds", type=int, dest="num_seeds")
     p_exp.add_argument("--corrupt", action="store_true",
                        help="corrupt one teacher member's keypoints")

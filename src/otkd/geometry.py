@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     EmptySet,
     NegativeWeight,
+    OutOfRange,
     PointBehindCamera,
     ZeroGroundTruthTranslation,
 )
@@ -123,8 +124,8 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be strictly positive")
+        if not (self.fx > 0 and self.fy > 0):
+            raise OutOfRange("focal lengths must be strictly positive")
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.fx, 0.0, self.cx],

@@ -258,16 +258,11 @@ class DistillTargets:
     regions: np.ndarray              # (B, N, C_T, e, e) ensemble-mean regions
 
 
-def make_teacher_ensemble(cfg: TrainingConfig,
-                          seed_list: list[int] | None = None) -> list[ToyRegressor]:
+def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     """Trains `ensemble_size` regressors from independent initializations on a
     shared clean scene set, freezing each afterwards.  Raises
     TrainingDiverged if any member misses cfg.teacher_error_threshold_px on
     held-out scenes."""
-    if seed_list is None:
-        seed_list = [10_000 + 97 * e + cfg.seed for e in range(cfg.ensemble_size)]
-    if len(seed_list) != cfg.ensemble_size:
-        raise ConfigError("seed_list length must equal ensemble_size")
     scenes = make_scenes(cfg.teacher_scenes, np.random.default_rng(2024 + cfg.seed))
     held_out = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
     x, kps = _stack(scenes)
@@ -276,7 +271,8 @@ def make_teacher_ensemble(cfg: TrainingConfig,
     sup = dataclasses.replace(cfg, gamma_distill=0.0, num_keypoints=NUM_CORNERS,
                               epochs=cfg.teacher_epochs)
     teachers = []
-    for member_seed in seed_list:
+    for e in range(cfg.ensemble_size):
+        member_seed = 10_000 + 97 * e + cfg.seed
         net = ToyRegressor(spec, np.random.default_rng(member_seed))
         _train(net, x, kps, None, sup, None)
         pred, _ = net.forward(xh)
@@ -602,12 +598,11 @@ def run_experiment(condition: str, cfg: TrainingConfig,
 
 
 def run_all_conditions(cfg: TrainingConfig, corrupt_teacher: bool = False,
-                       seeds: list[int] | None = None,
-                       conditions: tuple[str, ...] = CONDITIONS) -> list[ExperimentReport]:
+                       seeds: list[int] | None = None) -> list[ExperimentReport]:
     """Runs every condition against one shared teacher ensemble."""
     teachers = make_teacher_ensemble(cfg)
     return [run_experiment(c, cfg, corrupt_teacher, seeds, teachers)
-            for c in conditions]
+            for c in CONDITIONS]
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, DimensionMismatch, PointBehindCamera
+from .errors import (DegenerateConfiguration, DimensionMismatch, NegativeWeight,
+                     PointBehindCamera)
 from .geometry import CameraIntrinsics, KeypointSet, Pose, rotation_from_axis_angle
 
 _MIN_POINTS = 6  # unconstrained 12-parameter DLT needs 6 generic points
@@ -37,8 +38,8 @@ class Correspondences:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (p3.shape[0],):
                 raise DimensionMismatch("weights length mismatch")
-            if (w < 0).any():
-                raise ValueError("weights must be >= 0")
+            if not (w >= 0).all():
+                raise NegativeWeight("weights must be >= 0")
             object.__setattr__(self, "weights", w)
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySet, NegativeWeight
+from .errors import (ConfigError, DimensionMismatch, EmptySet, NegativeWeight,
+                     OutOfRange)
 from .geometry import KeypointSet
 
 
@@ -34,13 +35,13 @@ class SinkhornConfig:
 
     def __post_init__(self):
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be > 0")
+            raise ConfigError("epsilon must be > 0")
         if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+            raise ConfigError("tau must be > 0")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters must be >= 1")
         if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+            raise ConfigError("tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
     if C.ndim != ndim or 0 in C.shape:
         raise EmptySet(f"cost must be a non-empty {ndim}D array, got shape {C.shape}")
     if (C < 0).any() or not np.isfinite(C).all():
-        raise ValueError("cost entries must be finite and >= 0")
+        raise OutOfRange("cost entries must be finite and >= 0")
     lead, (M, N) = C.shape[:-2], C.shape[-2:]
     a = np.asarray(alpha_s, dtype=float)
     b = np.asarray(alpha_t, dtype=float)
@@ -97,8 +98,9 @@ def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
             f"marginals of {a.size} and {b.size} entries vs cost {C.shape}")
     a = a.reshape(lead + (M,))
     b = b.reshape(lead + (N,))
-    if (a < 0).any() or (b < 0).any():
-        raise NegativeWeight("marginal weights must be >= 0")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()
+            and (a >= 0).all() and (b >= 0).all()):
+        raise NegativeWeight("marginal weights must be finite and >= 0")
     if (a.sum(axis=-1) == 0).any() or (b.sum(axis=-1) == 0).any():
         raise NegativeWeight("marginals must not be all zero")
     return C, a, b

@@ -11,7 +11,7 @@ from otkd import __version__, cli
 from otkd.errors import PointBehindCamera
 from otkd.geometry import Model3D, Pose, pose_errors, project
 from otkd.harness import (CONDITIONS, CSV_HEADER, box_model, default_camera,
-                          sample_pose)
+                          run_experiment, sample_pose)
 from test_sinkhorn import lp_transport_cost
 
 # small enough that one full experiment run takes a couple of seconds
@@ -197,6 +197,30 @@ class TestExperimentCommand:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["noKD", "uniformOT"]
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_any_failure_keeps_finished_rows(self, tmp_path, monkeypatch,
+                                             capsys, exc):
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CFG)
+        calls = []
+
+        def fail_second_call(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise exc("injected")
+            return run_experiment(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", fail_second_call)
+        out = tmp_path / "out"
+        with pytest.raises(exc):
+            cli.main(["experiment", "--config", str(cfgfile), "--out", str(out)])
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["noKD"]
+        assert (out / "manifest.json").exists()
+        assert not (out / "summary.json").exists()
+        assert "partial results" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line,fragment", [
         ("bogus_key = 3", "unknown key 'bogus_key'"),
         ("lam = 1.5", "lam"),
@@ -310,6 +334,51 @@ class TestPnpCommand:
         monkeypatch.setattr(cli, "pnp_solve", explode)
         assert cli.main(["pnp", str(corr), str(camf)]) == 2
         assert "non-positive depth" in capsys.readouterr().err
+
+
+def _sinkhorn_argv(tmp_path, *flags, cost=((0.0, 1.0), (1.0, 0.0)),
+                   a=(0.5, 0.5)):
+    return ["sinkhorn", *flags,
+            *_write_instance(tmp_path, np.array(cost), np.array(a), [0.5, 0.5])]
+
+
+def _pnp_argv(tmp_path, pnp_files, col=5, value=1.0, cam=None):
+    """The fixture's correspondences with a weight column of ones, entry
+    `col` of the first row set to `value`; `cam` replaces the camera file."""
+    corr, camf, _, _ = pnp_files
+    data = np.loadtxt(corr, delimiter=",")
+    data = np.hstack([data, np.ones((len(data), 1))])
+    data[0, col] = value
+    corrf = tmp_path / "corr.csv"
+    np.savetxt(corrf, data, delimiter=",")
+    if cam is not None:
+        camf = tmp_path / "cam.csv"
+        camf.write_text(cam + "\n")
+    return ["pnp", str(corrf), str(camf)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda tmp, _: _sinkhorn_argv(tmp, "--tau", "0"),
+    lambda tmp, _: _sinkhorn_argv(tmp, "--epsilon", "-1"),
+    lambda tmp, _: _sinkhorn_argv(tmp, "--max-iters", "0"),
+    lambda tmp, _: _sinkhorn_argv(tmp, "--tol", "0"),
+    lambda tmp, _: _sinkhorn_argv(tmp, cost=((0.0, -1.0), (1.0, 0.0))),
+    lambda tmp, _: _sinkhorn_argv(tmp, cost=((0.0, np.nan), (1.0, 0.0))),
+    lambda tmp, _: _sinkhorn_argv(tmp, a=(0.5, np.nan)),
+    lambda tmp, pnp: _pnp_argv(tmp, pnp, value=-1.0),
+    lambda tmp, pnp: _pnp_argv(tmp, pnp, value=np.nan),
+    lambda tmp, pnp: _pnp_argv(tmp, pnp, col=0, value=np.nan),
+    lambda tmp, pnp: _pnp_argv(tmp, pnp, col=2, value=np.nan),
+    lambda tmp, pnp: _pnp_argv(tmp, pnp, col=3, value=np.inf),
+    lambda tmp, pnp: _pnp_argv(tmp, pnp, cam="0,220,32,32"),
+], ids=["tau-zero", "epsilon-negative", "max-iters-zero", "tol-zero",
+        "negative-cost", "nan-cost", "nan-sinkhorn-weight", "negative-pnp-weight",
+        "nan-pnp-weight", "nan-pixel", "nan-3d", "inf-3d", "fx-zero"])
+def test_bad_input_is_usage_error(tmp_path, pnp_files, make_argv):
+    res = run_cli(*make_argv(tmp_path, pnp_files))
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 class TestTopLevel:

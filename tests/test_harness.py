@@ -188,8 +188,8 @@ class TestTeachers:
             assert 0.0 < net.held_out_error_px < TINY.teacher_error_threshold_px
 
     def test_same_seeds_identical_members(self):
-        a = make_teacher_ensemble(TINY, seed_list=[41, 42])
-        b = make_teacher_ensemble(TINY, seed_list=[41, 42])
+        a = make_teacher_ensemble(TINY)
+        b = make_teacher_ensemble(TINY)
         for na, nb in zip(a, b):
             for pa, pb in zip(na.parameters(), nb.parameters()):
                 assert np.array_equal(pa, pb)
@@ -199,10 +199,6 @@ class TestTeachers:
         k0 = np.asarray(tiny_teachers[0].forward(x)[0], dtype=float)
         k1 = np.asarray(tiny_teachers[1].forward(x)[0], dtype=float)
         assert np.linalg.norm(k0 - k1, axis=2).mean() > 0.0
-
-    def test_seed_list_length_mismatch(self):
-        with pytest.raises(ConfigError, match="seed_list"):
-            make_teacher_ensemble(TINY, seed_list=[1, 2, 3])
 
     def test_single_member_has_zero_uncertainty(self):
         cfg = dataclasses.replace(TINY, ensemble_size=1)

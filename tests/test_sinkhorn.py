@@ -263,8 +263,10 @@ class TestValidation:
         (lambda c, a, b: a.__setitem__((1, 2), -0.25), NegativeWeight),
         (lambda c, a, b: b.__setitem__(1, 0.0), NegativeWeight),
         (lambda c, a, b: a.__setitem__(1, 0.0), NegativeWeight),
+        (lambda c, a, b: a.__setitem__((1, 3), np.nan), NegativeWeight),
+        (lambda c, a, b: b.__setitem__((1, 0), np.inf), NegativeWeight),
     ], ids=["nan-cost", "negative-cost", "negative-weight", "zero-teacher",
-            "zero-student"])
+            "zero-student", "nan-weight", "inf-weight"])
     def test_batch_and_single_reject_alike(self, spoil, error):
         # one bad instance among valid ones: the single solver sees it alone
         rng = np.random.default_rng(11)
