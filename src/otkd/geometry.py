@@ -13,24 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    NegativeWeight,
-    OutOfRange,
-    PointBehindCamera,
-    ZeroGroundTruthTranslation,
-)
+from .errors import EmptySet, OutOfRange, PointBehindCamera, ZeroGroundTruthTranslation
 
 _ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class KeypointSet:
-    """Ordered 2D keypoints, optionally carrying per-keypoint weights."""
+    """Ordered 2D keypoints."""
 
     points: np.ndarray  # (N, 2) float
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -39,15 +31,6 @@ class KeypointSet:
         if not np.isfinite(pts).all():
             raise ValueError("keypoints must be finite")
         object.__setattr__(self, "points", pts)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (pts.shape[0],):
-                raise DimensionMismatch(
-                    f"weights shape {w.shape} does not match {pts.shape[0]} points"
-                )
-            if (w < 0).any():
-                raise NegativeWeight("keypoint weights must be >= 0")
-            object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -126,11 +109,6 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise OutOfRange("focal lengths must be strictly positive")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.fx, 0.0, self.cx],
-                         [0.0, self.fy, self.cy],
-                         [0.0, 0.0, 1.0]])
 
 
 def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:

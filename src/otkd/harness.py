@@ -277,10 +277,10 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
         _train(net, x, kps, None, sup, None)
         pred, _ = net.forward(xh)
         err = float(np.linalg.norm(pred - kh, axis=2).mean())
-        if err > cfg.teacher_error_threshold_px:
+        if not err <= cfg.teacher_error_threshold_px:  # a NaN error fails too
             raise TrainingDiverged(
                 f"teacher seed {member_seed}: held-out error {err:.2f}px "
-                f"exceeds {cfg.teacher_error_threshold_px}px")
+                f"is not within {cfg.teacher_error_threshold_px}px")
         net.held_out_error_px = err
         teachers.append(net)
     return teachers
@@ -293,10 +293,14 @@ def prepare_targets(teachers: list[ToyRegressor], encodings: np.ndarray,
     blended weights, and mean feature regions.  When `corrupt_rng` is given,
     one member's predictions for the configured keypoint subset get large
     added noise before aggregation (the regions then come from the shifted
-    centers too, so the corruption reaches both transfer paths)."""
+    centers too, so the corruption reaches both transfer paths).  Raises
+    TrainingDiverged naming the first member whose keypoints are not finite."""
     preds, feats = [], []
-    for net in teachers:
+    for member, net in enumerate(teachers):
         kps, fmap = net.forward(encodings)
+        if not np.isfinite(kps).all():
+            raise TrainingDiverged(
+                f"teacher member {member} predicted non-finite keypoints")
         preds.append(np.asarray(kps, dtype=float))
         feats.append(fmap)
     preds = np.stack(preds)                       # (E, B, N, 2)
@@ -561,22 +565,18 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
 
 
 def run_experiment(condition: str, cfg: TrainingConfig,
-                   corrupt_teacher: bool = False,
-                   seeds: list[int] | None = None,
-                   teachers: list[ToyRegressor] | None = None) -> ExperimentReport:
-    """Trains and evaluates one condition over `seeds` (default: [cfg.seed]).
+                   corrupt_teacher: bool = False, *, seeds: list[int],
+                   teachers: list[ToyRegressor]) -> ExperimentReport:
+    """Trains and evaluates one condition over `seeds` against `teachers`,
+    the ensemble from `make_teacher_ensemble(cfg)`.
 
     The teacher ensemble and the evaluation split depend only on cfg.seed, so
-    they are shared by every row; pass `teachers` to reuse one ensemble across
-    conditions.  Per-row seeds drive student scenes, label noise, student
-    initialization, and the corruption draw.
+    they are shared by every row and every condition.  Per-row seeds drive
+    student scenes, label noise, student initialization, and the corruption
+    draw.
     """
     if condition not in _CONDITION_FLAGS:
         raise ConfigError(f"unknown condition {condition!r}")
-    if seeds is None:
-        seeds = [cfg.seed]
-    if teachers is None:
-        teachers = make_teacher_ensemble(cfg)
     eval_scenes = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
 
     rows = []
@@ -595,14 +595,6 @@ def run_experiment(condition: str, cfg: TrainingConfig,
                             uncertainty=uncertainty,
                             corrupt_keypoints=tuple(cfg.corrupt_keypoints)
                             if corrupt_teacher else ())
-
-
-def run_all_conditions(cfg: TrainingConfig, corrupt_teacher: bool = False,
-                       seeds: list[int] | None = None) -> list[ExperimentReport]:
-    """Runs every condition against one shared teacher ensemble."""
-    teachers = make_teacher_ensemble(cfg)
-    return [run_experiment(c, cfg, corrupt_teacher, seeds, teachers)
-            for c in CONDITIONS]
 
 
 # --------------------------------------------------------------------------

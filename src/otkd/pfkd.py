@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CenterOutsideMap, EmptyHead, ShapeMismatch
-from .sinkhorn import TransportPlan
 
 
 @dataclass(frozen=True)
@@ -27,35 +26,12 @@ class ConvLayerSpec:
             raise ValueError(f"kernel/stride must be >= 1, got {self}")
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    data: np.ndarray   # (C, H, W)
-    delta: float       # output-pixel -> feature-grid scale
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 3 or d.shape[1] < 1 or d.shape[2] < 1:
-            raise ValueError(f"feature map must be (C, H, W), got {d.shape}")
-        if not np.isfinite(d).all():
-            raise ValueError("feature map entries must be finite")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
-        object.__setattr__(self, "data", d)
-
-
-@dataclass(frozen=True)
-class FeatureRegion:
-    data: np.ndarray           # (C, Hr, Wr)
-    center: tuple[int, int]    # (row, col) in feature-grid coordinates
-    source_keypoint: int = -1
-
-
 def receptive_field_extent(head: list[ConvLayerSpec]) -> int:
     """Side length of the input patch feeding one output unit of the stack.
 
     The extent is the span of the receptive field, from its first to its
     last feeding input inclusive. A layer with kernel < stride leaves holes
-    inside that span; `extract_region` still takes the dense
+    inside that span; `extract_regions` still takes the dense
     extent x extent window.
     """
     if not head:
@@ -66,16 +42,6 @@ def receptive_field_extent(head: list[ConvLayerSpec]) -> int:
         extent += (layer.kernel - 1) * jump
         jump *= layer.stride
     return extent
-
-
-def region_center(keypoint, delta: float) -> tuple[int, int]:
-    """Feature-grid (row, col) for an (x, y) keypoint: round-half-even of
-    delta*y and delta*x respectively."""
-    if not delta > 0:
-        raise ValueError("delta must be > 0")
-    x, y = float(keypoint[0]), float(keypoint[1])
-    # np.round implements round-half-to-even, unlike the schoolbook rule
-    return int(np.round(delta * y)), int(np.round(delta * x))
 
 
 def extract_regions(fmaps: np.ndarray, centers: np.ndarray, extent: int):
@@ -113,14 +79,6 @@ def scatter_region_grads(dfmaps: np.ndarray, dregions: np.ndarray, idx) -> None:
     bidx = np.broadcast_to(np.arange(B)[:, None, None, None], rs.shape)
     np.add.at(dfmaps, (bidx[..., None], np.arange(C)[None, None, None, None, :],
                        rs[..., None], cs[..., None]), masked)
-
-
-def extract_region(fmap: FeatureMap, center: tuple[int, int],
-                   extent: int) -> FeatureRegion:
-    """One window of `extract_regions`, for a single map and center."""
-    r, c = int(center[0]), int(center[1])
-    regions, _ = extract_regions(fmap.data[None], np.array([[[r, c]]]), extent)
-    return FeatureRegion(regions[0, 0], (r, c))
 
 
 def init_projection(target_c: int, source_c: int,
@@ -164,17 +122,3 @@ def region_loss(teacher: np.ndarray, student: np.ndarray, plans: np.ndarray):
     dteacher = gcoef * (col_mass[:, :, None, None, None] * teacher - cross_t)
     return loss, dstudent, dteacher
 
-
-def pfkd_loss(teacher_regions: list[FeatureRegion],
-              student_regions: list[FeatureRegion],
-              plan: TransportPlan | np.ndarray) -> tuple[float, np.ndarray]:
-    """`region_loss` for one scene.
-
-    The plan arrives student-major (M x N).  Returns the loss and the
-    gradient with respect to every student region, shape (M, C, H, W).
-    """
-    P = plan.entries if isinstance(plan, TransportPlan) else np.asarray(plan, dtype=float)
-    T = np.stack([r.data for r in teacher_regions])
-    S = np.stack([r.data for r in student_regions])
-    loss, grad, _ = region_loss(T[None], S[None], P[None])
-    return loss, grad[0]

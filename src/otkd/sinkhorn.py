@@ -47,8 +47,6 @@ class SinkhornConfig:
 @dataclass(frozen=True)
 class TransportPlan:
     entries: np.ndarray        # (M, N), nonnegative
-    row_marginal: np.ndarray   # (M,) row sums
-    col_marginal: np.ndarray   # (N,) column sums
     converged: bool
     iterations: int
 
@@ -56,12 +54,10 @@ class TransportPlan:
         return float((self.entries * cost).sum())
 
 
-def cost_matrix(student: KeypointSet, teacher: KeypointSet,
-                squared: bool = False) -> np.ndarray:
+def cost_matrix(student: KeypointSet, teacher: KeypointSet) -> np.ndarray:
     """Pairwise Euclidean distances, rows = student points, columns = teacher."""
     diff = student.points[:, None, :] - teacher.points[None, :, :]
-    sq = (diff ** 2).sum(-1)
-    return sq if squared else np.sqrt(sq)
+    return np.sqrt((diff ** 2).sum(-1))
 
 
 def default_epsilon(cost: np.ndarray):
@@ -161,13 +157,7 @@ def sinkhorn_unbalanced(cost: np.ndarray, alpha_s, alpha_t,
 
     P = np.zeros_like(C)
     P[np.ix_(rows, cols)] = np.exp((f + g - Cs) / cfg.epsilon)
-    return TransportPlan(
-        entries=P,
-        row_marginal=P.sum(axis=1),
-        col_marginal=P.sum(axis=0),
-        converged=converged,
-        iterations=total_iters,
-    )
+    return TransportPlan(entries=P, converged=converged, iterations=total_iters)
 
 
 def plan_residuals(plan: TransportPlan, alpha_s, alpha_t) -> tuple[float, float]:

@@ -10,26 +10,9 @@ descended.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
-from .geometry import KeypointSet
-from .sinkhorn import (
-    SinkhornConfig,
-    TransportPlan,
-    cost_matrix,
-    default_config,
-    sinkhorn_unbalanced,
-)
-
-
-@dataclass(frozen=True)
-class PredictionLossResult:
-    loss: float
-    plan: TransportPlan
-    gradient: np.ndarray  # (M, 2), d loss / d student keypoint coordinates
 
 
 def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
@@ -51,21 +34,3 @@ def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
     unit = disp / np.maximum(dist, 1e-12)[..., None]
     return loss, (plans[..., None] * unit).sum(axis=2) / B
 
-
-def prediction_loss(student: KeypointSet, teacher: KeypointSet,
-                    alpha_s: np.ndarray, alpha_t: np.ndarray,
-                    cfg: SinkhornConfig | None = None) -> PredictionLossResult:
-    """Solve the plan, then evaluate `transport_loss` on it for one scene."""
-    M, N = len(student), len(teacher)
-    a = np.asarray(alpha_s, dtype=float).reshape(-1)
-    b = np.asarray(alpha_t, dtype=float).reshape(-1)
-    if a.shape[0] != M or b.shape[0] != N:
-        raise DimensionMismatch(
-            f"weights {a.shape[0]}x{b.shape[0]} vs sets {M}x{N}")
-    C = cost_matrix(student, teacher)
-    if cfg is None:
-        cfg = default_config(C)
-    plan = sinkhorn_unbalanced(C, a, b, cfg)
-    loss, grad = transport_loss(plan.entries[None], student.points[None],
-                                teacher.points[None])
-    return PredictionLossResult(loss=loss, plan=plan, gradient=grad[0])

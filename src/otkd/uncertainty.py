@@ -20,7 +20,6 @@ from .errors import (
     OutOfRange,
     ZeroCount,
 )
-from .geometry import KeypointSet
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,6 @@ class EnsemblePrediction:
     mean: np.ndarray | None = None
     variance: np.ndarray | None = None
     uncertainty: np.ndarray | None = None
-
-    @property
-    def mean_set(self) -> KeypointSet:
-        if self.mean is None:
-            raise ValueError("statistics not computed yet")
-        return KeypointSet(self.mean)
 
 
 def majority_vote_align(members: np.ndarray,

@@ -4,13 +4,18 @@ Both heavy artifacts here exist so the expensive runs happen once:
 the corrupted-teacher experiment (ten seeds, all five conditions) and a
 pair of identical default-config CLI runs used for rerun determinism.
 """
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from otkd.harness import TrainingConfig, run_all_conditions
+from otkd.harness import (CONDITIONS, TrainingConfig, make_teacher_ensemble,
+                          run_experiment)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The corrupted-teacher experiment configuration.  corrupt_noise_px sits
 # where suppressing the corrupted columns clearly beats carrying them, yet
@@ -31,12 +36,19 @@ def corrupted_experiment():
     """(reports, wall_seconds): five conditions over ten seeds, one shared
     teacher ensemble, one corrupted member."""
     start = time.perf_counter()
-    reports = run_all_conditions(EXPERIMENT_CFG, corrupt_teacher=True,
-                                 seeds=EXPERIMENT_SEEDS)
+    teachers = make_teacher_ensemble(EXPERIMENT_CFG)
+    reports = [run_experiment(c, EXPERIMENT_CFG, corrupt_teacher=True,
+                              seeds=EXPERIMENT_SEEDS, teachers=teachers)
+               for c in CONDITIONS]
     return reports, time.perf_counter() - start
 
 
 def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """`python -m otkd.cli` on this checkout's sources, with `env` (default:
+    this process's environment) plus `src` first on PYTHONPATH."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "otkd.cli", *argv],
                           capture_output=True, text=True, env=env)
 

@@ -16,11 +16,12 @@ from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
                            add_metric, add_s_metric, pose_errors, project,
                            rotation_from_axis_angle)
 from otkd.harness import CONDITIONS, CSV_HEADER, TrainingConfig, total_loss
-from otkd.pfkd import (ConvLayerSpec, FeatureRegion, init_projection,
-                       pfkd_loss, receptive_field_extent)
+from otkd.pfkd import (ConvLayerSpec, init_projection, receptive_field_extent,
+                       region_loss)
 from otkd.pnp import Correspondences, pnp_solve
-from otkd.sinkhorn import SinkhornConfig, plan_residuals, sinkhorn_unbalanced
-from otkd.uakd import prediction_loss
+from otkd.sinkhorn import (SinkhornConfig, cost_matrix, plan_residuals,
+                           sinkhorn_unbalanced)
+from otkd.uakd import transport_loss
 from otkd.uncertainty import blend_weights
 from test_harness import _student_and_batch, _synthetic_targets
 from test_pfkd import simulated_extent
@@ -95,14 +96,14 @@ def test_criterion_3_receptive_field_oracle():
            f"{mismatches} impulse-oracle mismatches, {wall:.2f}s (<10s)")
 
 
-def _prediction_loss_fd_error(rng) -> float:
+def _transport_loss_fd_error(rng) -> float:
     s = KeypointSet(rng.uniform(0.0, 10.0, (5, 2)))
     t = KeypointSet(rng.uniform(0.0, 10.0, (6, 2)))
     a = np.full(5, 0.2)
     b = rng.uniform(0.2, 1.0, 6)
     b /= b.sum()
-    res = prediction_loss(s, t, a, b)
-    P = res.plan.entries
+    P = sinkhorn_unbalanced(cost_matrix(s, t), a, b).entries
+    _, grad = transport_loss(P[None], s.points[None], t.points[None])
 
     def loss_at(pts):
         d = np.sqrt(((pts[:, None, :] - t.points[None, :, :]) ** 2).sum(-1))
@@ -116,36 +117,33 @@ def _prediction_loss_fd_error(rng) -> float:
             up[i, c] += h
             down[i, c] -= h
             fd[i, c] = (loss_at(up) - loss_at(down)) / (2 * h)
-    return float(np.linalg.norm(fd - res.gradient) / np.linalg.norm(fd))
+    return float(np.linalg.norm(fd - grad[0]) / np.linalg.norm(fd))
 
 
-def _pfkd_loss_fd_error(rng) -> float:
-    teachers = [FeatureRegion(rng.normal(size=(2, 3, 3)), (1, 1))
-                for _ in range(4)]
-    students = [FeatureRegion(rng.normal(size=(2, 3, 3)), (1, 1))
-                for _ in range(3)]
-    plan = rng.uniform(0.0, 1.0, (3, 4))
-    _, grad = pfkd_loss(teachers, students, plan)
+def _region_loss_fd_error(rng) -> float:
+    teachers = np.stack([rng.normal(size=(2, 3, 3)) for _ in range(4)])[None]
+    students = np.stack([rng.normal(size=(2, 3, 3)) for _ in range(3)])[None]
+    plan = rng.uniform(0.0, 1.0, (3, 4))[None]
+    _, grad, _ = region_loss(teachers, students, plan)
 
     h = 1e-4
     fd = np.zeros_like(grad)
-    for j, region in enumerate(students):
-        flat = region.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = pfkd_loss(teachers, students, plan)[0]
-            flat[i] = orig - h
-            down = pfkd_loss(teachers, students, plan)[0]
-            flat[i] = orig
-            fd[j].ravel()[i] = (up - down) / (2 * h)
+    flat = students.ravel()  # a view: the loop perturbs `students` in place
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = region_loss(teachers, students, plan)[0]
+        flat[i] = orig - h
+        down = region_loss(teachers, students, plan)[0]
+        flat[i] = orig
+        fd.ravel()[i] = (up - down) / (2 * h)
     return float(np.linalg.norm(fd - grad) / np.linalg.norm(fd))
 
 
 def test_criterion_4_gradient_fidelity():
     rng = np.random.default_rng(44)
-    worst_pred = max(_prediction_loss_fd_error(rng) for _ in range(10))
-    worst_feat = max(_pfkd_loss_fd_error(rng) for _ in range(10))
+    worst_pred = max(_transport_loss_fd_error(rng) for _ in range(10))
+    worst_feat = max(_region_loss_fd_error(rng) for _ in range(10))
 
     cfg = dataclasses.replace(TrainingConfig(), student_channels=3,
                               teacher_channels=6, num_keypoints=4,
@@ -178,8 +176,8 @@ def test_criterion_4_gradient_fidelity():
 
     _check("criterion-4",
            worst_pred < 1e-4 and worst_feat < 1e-5 and total_rel < 1e-3,
-           f"gradient vs central differences, relative L2: prediction_loss "
-           f"worst {worst_pred:.2e} (<1e-4), pfkd_loss worst {worst_feat:.2e} "
+           f"gradient vs central differences, relative L2: transport_loss "
+           f"worst {worst_pred:.2e} (<1e-4), region_loss worst {worst_feat:.2e} "
            f"(<1e-5) over 10 instances each; total_loss full-parameter "
            f"{total_rel:.2e} (<1e-3)")
 

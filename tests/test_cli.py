@@ -11,7 +11,8 @@ from otkd import __version__, cli
 from otkd.errors import PointBehindCamera
 from otkd.geometry import Model3D, Pose, pose_errors, project
 from otkd.harness import (CONDITIONS, CSV_HEADER, box_model, default_camera,
-                          run_experiment, sample_pose)
+                          make_teacher_ensemble, run_experiment, sample_pose)
+from test_harness import nan_keypoints
 from test_sinkhorn import lp_transport_cost
 
 # small enough that one full experiment run takes a couple of seconds
@@ -220,6 +221,28 @@ class TestExperimentCommand:
         assert (out / "manifest.json").exists()
         assert not (out / "summary.json").exists()
         assert "partial results" in capsys.readouterr().err
+
+    def test_nonfinite_teacher_exits_diverged(self, tmp_path, monkeypatch, capsys):
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CFG)
+
+        def nan_member_ensemble(cfg):
+            teachers = make_teacher_ensemble(cfg)
+            teachers[1].forward = nan_keypoints(teachers[1])
+            return teachers
+
+        monkeypatch.setattr(cli, "make_teacher_ensemble", nan_member_ensemble)
+        out = tmp_path / "out"
+        code = cli.main(["experiment", "--config", str(cfgfile), "--out", str(out)])
+        assert code == 3
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["noKD"]
+        assert (out / "manifest.json").exists()
+        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert "teacher member 1 predicted non-finite keypoints" in err
+        assert "partial results" in err
 
     @pytest.mark.parametrize("line,fragment", [
         ("bogus_key = 3", "unknown key 'bogus_key'"),

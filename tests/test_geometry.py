@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkd.errors import (EmptySet, NegativeWeight, PointBehindCamera,
+from otkd.errors import (EmptySet, PointBehindCamera,
                          ZeroGroundTruthTranslation)
 from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
                            add_01d_hit, add_metric, add_s_metric, pose_errors,
@@ -213,10 +213,6 @@ class TestTypes:
     def test_keypointset_rejects_nan(self):
         with pytest.raises(ValueError):
             KeypointSet(np.array([[0.0, np.nan]]))
-
-    def test_keypointset_rejects_negative_weights(self):
-        with pytest.raises(NegativeWeight):
-            KeypointSet(np.array([[0.0, 1.0]]), weights=np.array([-0.5]))
 
     def test_keypointset_rejects_empty(self):
         with pytest.raises(EmptySet):

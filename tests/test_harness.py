@@ -9,18 +9,17 @@ import pytest
 
 from otkd import harness
 from otkd.errors import ConfigError, TrainingDiverged
-from otkd.harness import (CONDITIONS, CSV_HEADER, DELTA, GRID, IN_CHANNELS,
+from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, IN_CHANNELS,
                           NUM_CORNERS, DistillTargets, ExperimentReport,
                           ReportRow, SyntheticScene, TrainingConfig,
                           _condition_config, _region_centers, _stack,
                           _student_spec, _train, _train_one_seed,
                           evaluate_student, make_scene, make_scenes,
                           make_teacher_ensemble, prepare_targets,
-                          run_all_conditions, run_experiment, summarize,
-                          total_loss, write_report_csv, write_report_json)
-from otkd.pfkd import (FeatureRegion, extract_regions, init_projection,
-                       receptive_field_extent, region_center,
-                       scatter_region_grads)
+                          run_experiment, summarize, total_loss,
+                          write_report_csv, write_report_json)
+from otkd.pfkd import (extract_regions, init_projection,
+                       receptive_field_extent, scatter_region_grads)
 from otkd.regressor import ToyRegressor
 from otkd.sinkhorn import sinkhorn_unbalanced_batch
 from test_pfkd import loop_pfkd_loss, padded_window
@@ -139,14 +138,6 @@ class TestConditionConfig:
 
 
 class TestRegionHelpers:
-    def test_centers_match_single_point_rule(self):
-        rng = np.random.default_rng(0)
-        kps = rng.uniform(2.0, 62.0, (3, 8, 2))
-        centers = _region_centers(kps)
-        for b in range(3):
-            for k in range(8):
-                assert tuple(centers[b, k]) == region_center(kps[b, k], DELTA)
-
     def test_centers_clip_into_grid(self):
         kps = np.array([[[-50.0, -50.0], [500.0, 500.0]]])
         centers = _region_centers(kps)
@@ -187,6 +178,16 @@ class TestTeachers:
         for net in tiny_teachers:
             assert 0.0 < net.held_out_error_px < TINY.teacher_error_threshold_px
 
+    def test_nan_held_out_error_rejected(self, monkeypatch):
+        # a member whose forward gives NaN has a NaN held-out error, which
+        # no comparison with the threshold can accept
+        def nan_member(net, *args):
+            net.forward = lambda x: (np.full((len(x), NUM_CORNERS, 2), np.nan),
+                                     None)
+        monkeypatch.setattr(harness, "_train", nan_member)
+        with pytest.raises(TrainingDiverged, match="held-out error nanpx"):
+            make_teacher_ensemble(TINY)
+
     def test_same_seeds_identical_members(self):
         a = make_teacher_ensemble(TINY)
         b = make_teacher_ensemble(TINY)
@@ -209,6 +210,17 @@ class TestTeachers:
         assert (targets.col_weights == 1.0).all()
 
 
+def nan_keypoints(net):
+    """`net.forward` with every keypoint replaced by NaN, features intact."""
+    forward = net.forward
+
+    def nan_forward(x):
+        kps, fmap = forward(x)
+        return np.full_like(kps, np.nan), fmap
+
+    return nan_forward
+
+
 class TestPrepareTargets:
     def test_shapes(self, tiny_teachers):
         x, _ = _stack(make_scenes(3, np.random.default_rng(4)))
@@ -221,6 +233,13 @@ class TestPrepareTargets:
                                          extent, extent)
         assert (targets.col_weights >= 1.0 - TINY.lam - 1e-12).all()
         assert (targets.col_weights <= 1.0).all()
+
+    def test_nonfinite_member_is_named(self, tiny_teachers, monkeypatch):
+        monkeypatch.setattr(tiny_teachers[1], "forward",
+                            nan_keypoints(tiny_teachers[1]))
+        x, _ = _stack(make_scenes(3, np.random.default_rng(4)))
+        with pytest.raises(TrainingDiverged, match="teacher member 1 "):
+            prepare_targets(tiny_teachers, x, TINY)
 
     def test_corruption_inflates_uncertainty_of_chosen_columns(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, corrupt_noise_px=40.0,
@@ -348,11 +367,9 @@ class TestTotalLoss:
         adapted = np.einsum("ct,bntij->bncij", projection, targets.regions)
         per_scene = []
         for b in range(x.shape[0]):
-            t = [FeatureRegion(adapted[b, n].astype(float), (0, 0))
-                 for n in range(adapted.shape[1])]
-            s = [FeatureRegion(padded_window(fmaps[b], c, extent).astype(float),
-                               (0, 0)) for c in centers[b]]
-            per_scene.append(loop_pfkd_loss(t, s, res.plans[b]))
+            s = np.stack([padded_window(fmaps[b], c, extent) for c in centers[b]])
+            per_scene.append(loop_pfkd_loss(adapted[b].astype(float),
+                                            s.astype(float), res.plans[b]))
         assert res.parts["feat"] == pytest.approx(np.mean(per_scene), rel=1e-9)
 
     def test_reports_solver_state(self):
@@ -509,7 +526,9 @@ class TestExperiment:
 
     def test_all_conditions_share_one_ensemble(self):
         cfg = dataclasses.replace(TINY, epochs=20, eval_scenes=6)
-        reports = run_all_conditions(cfg, seeds=[0])
+        teachers = make_teacher_ensemble(cfg)
+        reports = [run_experiment(c, cfg, seeds=[0], teachers=teachers)
+                   for c in CONDITIONS]
         assert [r.condition for r in reports] == list(CONDITIONS)
         assert all(len(r.rows) == 1 for r in reports)
         # noKD carries no uncertainty map; the KD conditions do
@@ -529,7 +548,7 @@ class TestExperiment:
 
     def test_unknown_condition_rejected(self, tiny_teachers):
         with pytest.raises(ConfigError, match="condition"):
-            run_experiment("FKD", TINY, teachers=tiny_teachers)
+            run_experiment("FKD", TINY, seeds=[0], teachers=tiny_teachers)
 
     def test_pose_eval_needs_six_points(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, num_keypoints=5)

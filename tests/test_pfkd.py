@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkd.errors import CenterOutsideMap, EmptyHead, ShapeMismatch
-from otkd.pfkd import (ConvLayerSpec, FeatureMap, FeatureRegion,
-                       extract_region, extract_regions, init_projection,
-                       pfkd_loss, receptive_field_extent, region_center,
-                       region_loss, scatter_region_grads)
+from otkd.harness import _region_centers
+from otkd.pfkd import (ConvLayerSpec, extract_regions, init_projection,
+                       receptive_field_extent, region_loss,
+                       scatter_region_grads)
 
 
 def impulse_hits(layers):
@@ -83,48 +83,55 @@ class TestReceptiveField:
             ConvLayerSpec(0)
 
 
+def center(keypoint):
+    """The harness's (row, col) grid center of one (x, y) pixel keypoint,
+    at its feature-grid scale DELTA = 0.25."""
+    return tuple(_region_centers(np.array([[keypoint]], dtype=float))[0, 0])
+
+
 class TestRegionCenter:
     def test_scales_and_swaps_axes(self):
         # keypoint is (x, y); the center is (row, col) = (round dy, round dx)
-        assert region_center((20.0, 8.0), 0.25) == (2, 5)
+        assert center((20.0, 8.0)) == (2, 5)
 
     def test_round_half_even(self):
-        assert region_center((10.0, 6.0), 0.25) == (2, 2)   # 1.5 -> 2, 2.5 -> 2
-        assert region_center((14.0, 2.0), 0.25) == (0, 4)   # 3.5 -> 4, 0.5 -> 0
+        assert center((10.0, 6.0)) == (2, 2)   # 1.5 -> 2, 2.5 -> 2
+        assert center((14.0, 2.0)) == (0, 4)   # 3.5 -> 4, 0.5 -> 0
 
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            region_center((1.0, 1.0), 0.0)
+
+def window(fmap, center, extent):
+    """One region of a (C, H, W) map: `extract_regions` at B = K = 1."""
+    regions, _ = extract_regions(fmap[None], np.array([[center]]), extent)
+    return regions[0, 0]
 
 
 class TestExtractRegion:
     def make_map(self):
-        return FeatureMap(np.arange(16, dtype=float).reshape(1, 4, 4), 0.25)
+        return np.arange(16, dtype=float).reshape(1, 4, 4)
 
     def test_interior_window(self):
-        reg = extract_region(self.make_map(), (1, 2), 3)
+        reg = window(self.make_map(), (1, 2), 3)
         np.testing.assert_array_equal(
-            reg.data[0], [[1, 2, 3], [5, 6, 7], [9, 10, 11]])
-        assert reg.center == (1, 2)
+            reg[0], [[1, 2, 3], [5, 6, 7], [9, 10, 11]])
 
     def test_corner_zero_padded(self):
-        reg = extract_region(self.make_map(), (0, 0), 3)
+        reg = window(self.make_map(), (0, 0), 3)
         np.testing.assert_array_equal(
-            reg.data[0], [[0, 0, 0], [0, 0, 1], [0, 4, 5]])
+            reg[0], [[0, 0, 0], [0, 0, 1], [0, 4, 5]])
 
     def test_even_extent_hangs_bottom_right(self):
-        reg = extract_region(self.make_map(), (1, 1), 2)
-        np.testing.assert_array_equal(reg.data[0], [[5, 6], [9, 10]])
+        reg = window(self.make_map(), (1, 1), 2)
+        np.testing.assert_array_equal(reg[0], [[5, 6], [9, 10]])
 
     def test_extent_one_is_the_cell_itself(self):
-        reg = extract_region(self.make_map(), (2, 3), 1)
-        np.testing.assert_array_equal(reg.data[0], [[11.0]])
+        reg = window(self.make_map(), (2, 3), 1)
+        np.testing.assert_array_equal(reg[0], [[11.0]])
 
     def test_center_outside_rejected(self):
         with pytest.raises(CenterOutsideMap):
-            extract_region(self.make_map(), (4, 0), 3)
+            window(self.make_map(), (4, 0), 3)
         with pytest.raises(CenterOutsideMap):
-            extract_region(self.make_map(), (0, -1), 3)
+            window(self.make_map(), (0, -1), 3)
 
 
 class TestInitProjection:
@@ -144,18 +151,26 @@ class TestInitProjection:
 
 
 def loop_pfkd_loss(teacher, student, P):
-    """Reference: explicit double loop over region pairs."""
+    """Reference: explicit double loop over region pairs, teacher (N, C, H, W)
+    and student (M, C, H, W) regions of one scene."""
     N, M = len(teacher), len(student)
-    cells = student[0].data.size
+    cells = student[0].size
     total = 0.0
     for i in range(N):
         for j in range(M):
-            total += P[j, i] * ((teacher[i].data - student[j].data) ** 2).sum()
+            total += P[j, i] * ((teacher[i] - student[j]) ** 2).sum()
     return total / (N * M * cells)
 
 
 def make_regions(rng, n, shape):
-    return [FeatureRegion(rng.normal(size=shape), (0, 0), k) for k in range(n)]
+    return np.stack([rng.normal(size=shape) for _ in range(n)])
+
+
+def scene_region_loss(teacher, student, P):
+    """One scene's loss and student gradient: `region_loss` at B = 1."""
+    loss, dstudent, _ = region_loss(teacher[None], student[None],
+                                    np.asarray(P, dtype=float)[None])
+    return loss, dstudent[0]
 
 
 class TestPfkdLoss:
@@ -164,14 +179,14 @@ class TestPfkdLoss:
         T = make_regions(rng, 4, (2, 3, 3))
         S = make_regions(rng, 3, (2, 3, 3))
         P = rng.uniform(0, 1, (3, 4))
-        loss, _ = pfkd_loss(T, S, P)
+        loss, _ = scene_region_loss(T, S, P)
         assert loss == pytest.approx(loop_pfkd_loss(T, S, P), rel=1e-12)
 
     def test_identical_regions_zero_loss(self):
         rng = np.random.default_rng(4)
         T = make_regions(rng, 3, (2, 2, 2))
-        S = [FeatureRegion(r.data.copy(), r.center, r.source_keypoint) for r in T]
-        loss, grad = pfkd_loss(T, S, np.eye(3) * (1 / 3))
+        S = T.copy()
+        loss, grad = scene_region_loss(T, S, np.eye(3) * (1 / 3))
         assert loss == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -180,10 +195,10 @@ class TestPfkdLoss:
         T = make_regions(rng, 3, (2, 2, 2))
         S = make_regions(rng, 2, (2, 2, 2))
         P = rng.uniform(0, 1, (2, 3))
-        _, grad = pfkd_loss(T, S, P)
+        _, grad = scene_region_loss(T, S, P)
         h = 1e-6
         for j in (0, 1):
-            flat = S[j].data.ravel()
+            flat = S[j].ravel()
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
@@ -199,8 +214,8 @@ class TestPfkdLoss:
         T = make_regions(rng, 2, (1, 2, 2))
         S = make_regions(rng, 2, (1, 2, 2))
         P = rng.uniform(0, 1, (2, 2))
-        l1, g1 = pfkd_loss(T, S, P)
-        l2, g2 = pfkd_loss(T, S, 2.0 * P)
+        l1, g1 = scene_region_loss(T, S, P)
+        l2, g2 = scene_region_loss(T, S, 2.0 * P)
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
         np.testing.assert_allclose(g2, 2 * g1, atol=1e-12)
 
@@ -210,22 +225,22 @@ class TestPfkdLoss:
         S = make_regions(rng, 2, (1, 2, 2))
         P = rng.uniform(0.1, 1, (2, 2))
         P[1, :] = 0.0  # student region 1 carries no mass
-        _, grad = pfkd_loss(T, S, P)
+        _, grad = scene_region_loss(T, S, P)
         np.testing.assert_array_equal(grad[1], 0.0)
 
     def test_rejects_plan_shape(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ShapeMismatch, match="student-major"):
-            pfkd_loss(make_regions(rng, 2, (1, 2, 2)),
-                      make_regions(rng, 3, (1, 2, 2)),
-                      np.zeros((2, 3)))
+            scene_region_loss(make_regions(rng, 2, (1, 2, 2)),
+                              make_regions(rng, 3, (1, 2, 2)),
+                              np.zeros((2, 3)))
 
     def test_rejects_unadapted_regions(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ShapeMismatch, match="adaptation"):
-            pfkd_loss(make_regions(rng, 2, (3, 2, 2)),
-                      make_regions(rng, 2, (1, 2, 2)),
-                      np.zeros((2, 2)))
+            scene_region_loss(make_regions(rng, 2, (3, 2, 2)),
+                              make_regions(rng, 2, (1, 2, 2)),
+                              np.zeros((2, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -234,7 +249,7 @@ class TestPfkdLoss:
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         T = make_regions(rng, n, (2, 2, 2))
         S = make_regions(rng, m, (2, 2, 2))
-        loss, _ = pfkd_loss(T, S, rng.uniform(0, 1, (m, n)))
+        loss, _ = scene_region_loss(T, S, rng.uniform(0, 1, (m, n)))
         assert loss >= 0.0
 
 
@@ -277,9 +292,7 @@ class TestBatchedForms:
         S = rng.normal(size=(B, M, C, H, W))
         P = rng.uniform(0, 1, (B, M, N))
         loss, dS, dT = region_loss(T, S, P)
-        ref = np.mean([loop_pfkd_loss([FeatureRegion(t, (0, 0)) for t in T[b]],
-                                      [FeatureRegion(x, (0, 0)) for x in S[b]],
-                                      P[b]) for b in range(B)])
+        ref = np.mean([loop_pfkd_loss(T[b], S[b], P[b]) for b in range(B)])
         assert loss == pytest.approx(ref, rel=1e-12)
         for b in range(B):
             rS, rT = loop_region_grads(T[b], S[b], P[b])
@@ -329,13 +342,3 @@ class TestBatchedForms:
             region_loss(T, S, np.zeros((2, 3, 4)))
         with pytest.raises(ShapeMismatch, match="adaptation"):
             region_loss(T, S[:, :, :, :1], np.zeros((2, 4, 3)))
-
-
-class TestFeatureMapIO:
-    def test_feature_map_validation(self):
-        with pytest.raises(ValueError):
-            FeatureMap(np.zeros((2, 2)), 0.25)
-        with pytest.raises(ValueError):
-            FeatureMap(np.full((1, 2, 2), np.nan), 0.25)
-        with pytest.raises(ValueError):
-            FeatureMap(np.zeros((1, 2, 2)), -1.0)

@@ -130,8 +130,8 @@ class TestUnbalanced:
         a = rng.uniform(0.1, 0.3, 5)
         plan = sinkhorn_unbalanced(cost, a, a, SinkhornConfig(epsilon=0.01,
                                                               tau=50.0))
-        np.testing.assert_allclose(plan.row_marginal, a, atol=5e-3)
-        np.testing.assert_allclose(plan.col_marginal, a, atol=5e-3)
+        np.testing.assert_allclose(plan.entries.sum(axis=1), a, atol=5e-3)
+        np.testing.assert_allclose(plan.entries.sum(axis=0), a, atol=5e-3)
 
 
 class TestMechanics:
@@ -142,8 +142,7 @@ class TestMechanics:
         b = np.full(4, 0.25)
         plan = sinkhorn_unbalanced(cost, a, b)
         assert (plan.entries >= 0).all()
-        np.testing.assert_allclose(plan.entries.sum(1), plan.row_marginal)
-        np.testing.assert_allclose(plan.entries.sum(0), plan.col_marginal)
+        assert plan.entries.shape == (3, 4)
         assert plan.iterations >= 1
 
     def test_warm_start_resumes(self):
@@ -224,8 +223,6 @@ class TestMechanics:
         s = KeypointSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
         t = KeypointSet(np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(cost_matrix(s, t), [[5.0], [0.0]])
-        np.testing.assert_allclose(cost_matrix(s, t, squared=True),
-                                   [[25.0], [0.0]])
 
     def test_default_config_tracks_cost_scale(self):
         cost = np.full((3, 3), 4.0)

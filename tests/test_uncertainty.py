@@ -175,4 +175,4 @@ def test_aggregate_pipeline_end_to_end():
     assert pred.uncertainty[1] == pytest.approx(np.tanh(1.0))
     assert pred.uncertainty[0] == 0.0
     assert pred.forced[2] and pred.uncertainty[2] == 1.0
-    assert pred.mean_set.points.shape == (3, 2)
+    assert pred.mean.shape == (3, 2)
