@@ -36,10 +36,6 @@ class EmptyEnsemble(OtkdError, ValueError):
     """An ensemble operation needs at least one member."""
 
 
-class NoContributors(OtkdError):
-    """A retained keypoint ended up with zero contributing members."""
-
-
 class NonpositiveScale(OtkdError, ValueError):
     """The variance-to-uncertainty scale must be > 0."""
 

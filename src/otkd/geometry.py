@@ -124,15 +124,19 @@ def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
-def project(model: Model3D, pose: Pose, cam: CameraIntrinsics) -> KeypointSet:
-    """Pinhole projection of every model keypoint, order preserved."""
-    pc = pose.apply(model.points)
-    z = pc[:, 2]
+def pinhole(points_cam: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+    """(N, 3) camera-frame points -> (N, 2) pixels; raises PointBehindCamera
+    when any point has depth <= 0."""
+    z = points_cam[:, 2]
     if (z <= 0).any():
         raise PointBehindCamera(f"{int((z <= 0).sum())} point(s) at depth <= 0")
-    u = cam.fx * pc[:, 0] / z + cam.cx
-    v = cam.fy * pc[:, 1] / z + cam.cy
-    return KeypointSet(np.stack([u, v], axis=1))
+    return np.stack([cam.fx * points_cam[:, 0] / z + cam.cx,
+                     cam.fy * points_cam[:, 1] / z + cam.cy], axis=1)
+
+
+def project(model: Model3D, pose: Pose, cam: CameraIntrinsics) -> KeypointSet:
+    """Pinhole projection of every model keypoint, order preserved."""
+    return KeypointSet(pinhole(pose.apply(model.points), cam))
 
 
 def add_metric(model: Model3D, pred: Pose, gt: Pose) -> float:

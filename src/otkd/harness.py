@@ -8,12 +8,14 @@ depth) plus two normalized coordinate channels.  That keeps the keypoint-
 regression structure intact while a full five-condition, multi-seed
 experiment stays within a few CPU-minutes.
 
-Conditions:
-  noKD       supervised only
-  uniformOT  + prediction transfer, uniform teacher weights
-  UAKD       + prediction transfer, confidence-blended teacher weights
-  PFKD       + feature-region transfer (plan from the weighted coupling)
-  UAKD+PFKD  both transfer terms
+The loss is  gamma_kpt*L_kpt + gamma_p*L_pred + gamma_f*L_feat.  Each
+condition overrides the config fields it turns off (`_CONDITION_OVERRIDES`):
+  noKD       gamma_p = gamma_f = 0   supervised only
+  uniformOT  gamma_f = 0, lam = 0    prediction transfer, uniform weights
+  UAKD       gamma_f = 0             prediction transfer, blended weights
+  PFKD       gamma_p = 0             feature-region transfer (plan from the
+                                     blended-weight coupling)
+  UAKD+PFKD  (none)                  both transfer terms
 """
 from __future__ import annotations
 
@@ -44,15 +46,16 @@ NUM_CORNERS = 8
 IN_CHANNELS = NUM_CORNERS + 2
 DELTA = GRID / IMAGE_SIZE
 
-CONDITIONS = ("noKD", "uniformOT", "UAKD", "PFKD", "UAKD+PFKD")
-# condition -> (prediction transfer on, feature transfer on, blended weights)
-_CONDITION_FLAGS = {
-    "noKD": (False, False, False),
-    "uniformOT": (True, False, False),
-    "UAKD": (True, False, True),
-    "PFKD": (False, True, True),
-    "UAKD+PFKD": (True, True, True),
+# condition -> the TrainingConfig fields it overrides; lam = 0 blends the
+# teacher weights to the all-ones existence scores
+_CONDITION_OVERRIDES = {
+    "noKD": {"gamma_p": 0.0, "gamma_f": 0.0},
+    "uniformOT": {"gamma_f": 0.0, "lam": 0.0},
+    "UAKD": {"gamma_f": 0.0},
+    "PFKD": {"gamma_p": 0.0},
+    "UAKD+PFKD": {},
 }
+CONDITIONS = tuple(_CONDITION_OVERRIDES)
 
 _BOX_DIMS = (0.10, 0.07, 0.05)
 _BLOB_SIGMA = 1.2
@@ -156,13 +159,13 @@ def _stack(scenes: list[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
 class TrainingConfig:
     """Knobs for the training objective and the experiment around it.
 
-    The loss is  gamma_kpt*L_kpt + gamma_distill*(gamma_p*L_pred +
-    gamma_f*L_feat);  lam blends teacher confidence against existence scores
-    (all-ones here).  gamma_p/gamma_f/lam/ensemble_size defaults follow the
-    shipped ablation optimum; the remaining fields shape the synthetic task.
+    The loss is  gamma_kpt*L_kpt + gamma_p*L_pred + gamma_f*L_feat;  lam
+    blends teacher confidence against existence scores (all-ones here), so
+    lam = 0 gives uniform teacher weights (the uniformOT condition).
+    gamma_p/gamma_f/lam/ensemble_size defaults follow the shipped ablation
+    optimum; the remaining fields shape the synthetic task.
     """
     gamma_kpt: float = 1.0
-    gamma_distill: float = 1.0
     gamma_p: float = 5.0
     gamma_f: float = 0.1
     lam: float = 0.5
@@ -187,7 +190,7 @@ class TrainingConfig:
     teacher_error_threshold_px: float = 5.0
 
     def __post_init__(self):
-        for name in ("gamma_kpt", "gamma_distill", "gamma_p", "gamma_f",
+        for name in ("gamma_kpt", "gamma_p", "gamma_f",
                      "label_noise_px", "corrupt_noise_px"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -268,8 +271,8 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     x, kps = _stack(scenes)
     xh, kh = _stack(held_out)
     spec = _teacher_spec(cfg)
-    sup = dataclasses.replace(cfg, gamma_distill=0.0, num_keypoints=NUM_CORNERS,
-                              epochs=cfg.teacher_epochs)
+    sup = dataclasses.replace(cfg, gamma_p=0.0, gamma_f=0.0,
+                              num_keypoints=NUM_CORNERS, epochs=cfg.teacher_epochs)
     teachers = []
     for e in range(cfg.ensemble_size):
         member_seed = 10_000 + 97 * e + cfg.seed
@@ -311,9 +314,8 @@ def prepare_targets(teachers: list[ToyRegressor], encodings: np.ndarray,
                                    preds[cfg.corrupt_member][:, idx].shape)
         preds[cfg.corrupt_member][:, idx] += noise
 
-    stats = aggregate(preds.reshape(E, B * N, 2), scale=cfg.uncertainty_scale)
-    u = stats.uncertainty.reshape(B, N)
-    conf = teacher_confidence(stats.uncertainty)
+    mean, u = aggregate(preds.reshape(E, B * N, 2), scale=cfg.uncertainty_scale)
+    conf = teacher_confidence(u)
     weights = blend_weights(conf, np.ones_like(conf), cfg.lam).reshape(B, N)
 
     extent = receptive_field_extent(teachers[0].head_spec())
@@ -322,8 +324,9 @@ def prepare_targets(teachers: list[ToyRegressor], encodings: np.ndarray,
         r, _ = extract_regions(fmap, _region_centers(preds[member]), extent)
         regions += r
     regions /= E
-    return DistillTargets(predictions=stats.mean.reshape(B, N, 2),
-                          col_weights=weights, uncertainty=u, regions=regions)
+    return DistillTargets(predictions=mean.reshape(B, N, 2),
+                          col_weights=weights, uncertainty=u.reshape(B, N),
+                          regions=regions)
 
 
 # --------------------------------------------------------------------------
@@ -365,8 +368,7 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
     loss_kpt = float((diff * diff).sum() / (B * M))
     dk = (cfg.gamma_kpt * 2.0 / (B * M)) * diff
 
-    gp = cfg.gamma_distill * cfg.gamma_p
-    gf = cfg.gamma_distill * cfg.gamma_f
+    gp, gf = cfg.gamma_p, cfg.gamma_f
     use_pred = gp > 0 and targets is not None
     use_feat = gf > 0 and targets is not None
     loss_pred = 0.0
@@ -490,21 +492,15 @@ class ExperimentReport:
 
 
 def _condition_config(condition: str, cfg: TrainingConfig) -> TrainingConfig:
-    if condition not in _CONDITION_FLAGS:
+    if condition not in _CONDITION_OVERRIDES:
         raise ConfigError(f"unknown condition {condition!r}")
-    use_pred, use_feat, _ = _CONDITION_FLAGS[condition]
-    if not (use_pred or use_feat):
-        return dataclasses.replace(cfg, gamma_distill=0.0)
-    return dataclasses.replace(cfg,
-                               gamma_p=cfg.gamma_p if use_pred else 0.0,
-                               gamma_f=cfg.gamma_f if use_feat else 0.0)
+    return dataclasses.replace(cfg, **_CONDITION_OVERRIDES[condition])
 
 
 def _train_one_seed(condition: str, cfg: TrainingConfig, seed: int,
                     teachers: list[ToyRegressor], corrupt_teacher: bool):
     """Returns (student, per-keypoint mean u or None)."""
     eff = _condition_config(condition, cfg)
-    _, _, blended = _CONDITION_FLAGS[condition]
     rng = np.random.default_rng(seed)
     scenes = make_scenes(cfg.train_scenes, rng)
     x, kps = _stack(scenes)
@@ -514,13 +510,10 @@ def _train_one_seed(condition: str, cfg: TrainingConfig, seed: int,
     u_mean = None
     targets = None
     projection = None
-    if eff.gamma_distill > 0 and (eff.gamma_p > 0 or eff.gamma_f > 0):
+    if eff.gamma_p > 0 or eff.gamma_f > 0:
         corrupt_rng = np.random.default_rng(seed + 77) if corrupt_teacher else None
-        targets = prepare_targets(teachers, x, cfg, corrupt_rng)
+        targets = prepare_targets(teachers, x, eff, corrupt_rng)
         u_mean = targets.uncertainty.mean(axis=0)
-        if not blended:
-            targets = dataclasses.replace(
-                targets, col_weights=np.ones_like(targets.col_weights))
         if eff.gamma_f > 0:
             projection = init_projection(cfg.student_channels,
                                          cfg.teacher_channels).astype(_DT)
@@ -575,7 +568,7 @@ def run_experiment(condition: str, cfg: TrainingConfig,
     student scenes, label noise, student initialization, and the corruption
     draw.
     """
-    if condition not in _CONDITION_FLAGS:
+    if condition not in _CONDITION_OVERRIDES:
         raise ConfigError(f"unknown condition {condition!r}")
     eval_scenes = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateConfiguration, DimensionMismatch, NegativeWeight,
-                     PointBehindCamera)
-from .geometry import CameraIntrinsics, KeypointSet, Pose, rotation_from_axis_angle
+from .errors import DegenerateConfiguration, DimensionMismatch, NegativeWeight
+from .geometry import (CameraIntrinsics, KeypointSet, Pose, pinhole,
+                       rotation_from_axis_angle)
 
 _MIN_POINTS = 6  # unconstrained 12-parameter DLT needs 6 generic points
 
@@ -107,19 +107,11 @@ def _dlt(p3: np.ndarray, xn: np.ndarray, w: np.ndarray):
     return R, t
 
 
-def _residuals_and_jacobian(p3, obs, cam, R, t, sw, want_jacobian=True):
+def _residuals_and_jacobian(p3, obs, cam, R, t, sw):
     pc = p3 @ R.T + t
-    z = pc[:, 2]
-    if (z <= 0).any():
-        raise PointBehindCamera("refinement drove a point behind the camera")
-    u = cam.fx * pc[:, 0] / z + cam.cx
-    v = cam.fy * pc[:, 1] / z + cam.cy
-    r = np.empty(2 * p3.shape[0])
-    r[0::2] = (u - obs[:, 0]) * sw
-    r[1::2] = (v - obs[:, 1]) * sw
-    if not want_jacobian:
-        return r, None
+    r = ((pinhole(pc, cam) - obs) * sw[:, None]).ravel()  # u0, v0, u1, v1, ...
     n = p3.shape[0]
+    z = pc[:, 2]
     # d(u,v)/d p_cam
     J_proj = np.zeros((n, 2, 3))
     J_proj[:, 0, 0] = cam.fx / z
@@ -195,11 +187,5 @@ def pnp_solve(c: Correspondences, max_iters: int = 100,
 def reprojection_rms(c: Correspondences, pose: Pose) -> float:
     """Root-mean-square magnitude of the 2D reprojection residuals (pixels),
     over all correspondences, unweighted."""
-    pc = c.points3d @ pose.rotation.T + pose.translation
-    z = pc[:, 2]
-    if (z <= 0).any():
-        raise PointBehindCamera("point at non-positive depth")
-    u = c.cam.fx * pc[:, 0] / z + c.cam.cx
-    v = c.cam.fy * pc[:, 1] / z + c.cam.cy
-    res = np.stack([u, v], axis=1) - c.points2d.points
+    res = pinhole(pose.apply(c.points3d), c.cam) - c.points2d.points
     return float(np.sqrt((res ** 2).sum(axis=1).mean()))

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import EXPERIMENT_SEEDS, strip_wall_ms
 from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
@@ -241,6 +242,7 @@ def test_criterion_6_metric_sanity():
            f"E_R(90deg)={e_r!r} within 1e-9")
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_orderings(corrupted_experiment):
     reports, wall = corrupted_experiment
     means = {r.condition: r.mean_kpt_err() for r in reports}
@@ -254,6 +256,7 @@ def test_criterion_7_directional_orderings(corrupted_experiment):
            + f"; {wall:.0f}s (<300s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_uncertainty_marks_corruption(corrupted_experiment):
     reports, _ = corrupted_experiment
     rep = next(r for r in reports if r.condition == "UAKD")
@@ -280,6 +283,7 @@ def test_criterion_9_blend_endpoints():
            f"bit-exactly on 20 instances; shipped default lam={default_lam}")
 
 
+@pytest.mark.slow
 def test_criterion_10_rerun_determinism(default_runs):
     first, rerun = default_runs
     a = strip_wall_ms((first / "report.csv").read_text())

@@ -111,6 +111,7 @@ class TestSinkhornCommand:
 
 
 class TestExperimentCommand:
+    @pytest.mark.slow
     def test_default_config_report_layout(self, default_runs):
         lines = (default_runs[0] / "report.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER
@@ -128,6 +129,7 @@ class TestExperimentCommand:
         assert manifest["version"] == __version__
         assert len(manifest["config_sha256"]) == 64
 
+    @pytest.mark.slow
     def test_rerun_is_byte_identical_minus_timing(self, default_runs):
         first, rerun = default_runs
         assert (strip_wall_ms((first / "report.csv").read_text())
@@ -135,6 +137,7 @@ class TestExperimentCommand:
         for name in ("summary.json", "manifest.json"):
             assert (first / name).read_bytes() == (rerun / name).read_bytes()
 
+    @pytest.mark.slow
     def test_corrupt_config_reproduces_library_rows(self, corrupted_experiment,
                                                     tmp_path):
         """A corrupted-teacher CLI run must agree bit for bit with the
@@ -246,6 +249,7 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("line,fragment", [
         ("bogus_key = 3", "unknown key 'bogus_key'"),
+        ("gamma_distill = 1", "unknown key 'gamma_distill'"),
         ("lam = 1.5", "lam"),
         ("epochs = soon", "soon"),
         ("just words", "expected key=value"),

@@ -89,12 +89,13 @@ class TestConfig:
         assert cfg.ensemble_size == 4
 
     @pytest.mark.parametrize("field,value", [
-        ("gamma_kpt", -0.5), ("gamma_distill", -1.0), ("gamma_p", -2.0),
+        ("gamma_kpt", -0.5), ("gamma_p", -2.0),
         ("gamma_f", -0.1), ("label_noise_px", -1.0), ("corrupt_noise_px", -1.0),
         ("lam", -0.01), ("lam", 1.01),
         ("ensemble_size", 0), ("learning_rate", 0.0), ("epochs", 0),
         ("teacher_epochs", 0), ("train_scenes", 0), ("eval_scenes", 0),
-        ("student_channels", 0), ("num_keypoints", 0), ("num_keypoints", 9),
+        ("student_channels", 0), ("teacher_channels", 0),
+        ("num_keypoints", 0), ("num_keypoints", 9),
         ("tau", 0.0), ("tau", -1.0), ("uncertainty_scale", 0.0),
         ("softmax_beta", 0.0), ("teacher_error_threshold_px", 0.0),
         ("corrupt_member", 4), ("corrupt_keypoints", (8,)),
@@ -114,19 +115,31 @@ class TestConfig:
 
 
 class TestConditionConfig:
-    @pytest.mark.parametrize("condition,distill,gp,gf", [
-        ("noKD", 0.0, 5.0, 2.0),       # distill off; remaining gammas unused
-        ("uniformOT", 1.0, 5.0, 0.0),
-        ("UAKD", 1.0, 5.0, 0.0),
-        ("PFKD", 1.0, 0.0, 2.0),
-        ("UAKD+PFKD", 1.0, 5.0, 2.0),
-    ])
-    def test_gamma_mapping(self, condition, distill, gp, gf):
+    # (gamma_p, gamma_f, lam) of each condition, from gamma_f=2.0, lam=0.5
+    OVERRIDDEN = {"noKD": (0.0, 0.0, 0.5), "uniformOT": (5.0, 0.0, 0.0),
+                  "UAKD": (5.0, 0.0, 0.5), "PFKD": (0.0, 2.0, 0.5),
+                  "UAKD+PFKD": (5.0, 2.0, 0.5)}
+
+    @pytest.mark.parametrize("condition", CONDITIONS)
+    def test_overrides(self, condition):
         cfg = TrainingConfig(gamma_f=2.0)
         eff = _condition_config(condition, cfg)
-        assert eff.gamma_distill == distill
-        if distill > 0:
-            assert (eff.gamma_p, eff.gamma_f) == (gp, gf)
+        assert (eff.gamma_p, eff.gamma_f, eff.lam) == self.OVERRIDDEN[condition]
+        # nothing outside the three transfer knobs moves
+        keep = {"gamma_p": cfg.gamma_p, "gamma_f": cfg.gamma_f, "lam": cfg.lam}
+        assert dataclasses.replace(eff, **keep) == cfg
+
+    def test_uniform_ot_weights_are_exactly_one(self, tiny_teachers):
+        cfg = dataclasses.replace(TINY, corrupt_noise_px=40.0)
+        x, _ = _stack(make_scenes(3, np.random.default_rng(4)))
+
+        def weights(condition):
+            eff = _condition_config(condition, cfg)
+            return prepare_targets(tiny_teachers, x, eff,
+                                   np.random.default_rng(0)).col_weights
+
+        assert (weights("uniformOT") == 1.0).all()
+        assert (weights("UAKD") < 1.0).any()
 
     def test_unknown_condition(self):
         with pytest.raises(ConfigError, match="condition"):
@@ -285,7 +298,7 @@ def _synthetic_targets(cfg, student, x, rng):
 
 class TestTotalLoss:
     def test_distill_off_equals_supervised(self):
-        cfg = dataclasses.replace(TINY, gamma_distill=0.0)
+        cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0)
         s1, x, labels = _student_and_batch(cfg)
         s2, _, _ = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, s1, x, np.random.default_rng(8))
@@ -406,7 +419,7 @@ class TestTotalLoss:
             total_loss(student, x, labels, targets, cfg)
 
     def test_nonfinite_loss_raises(self):
-        cfg = dataclasses.replace(TINY, gamma_distill=0.0)
+        cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0)
         student, x, labels = _student_and_batch(cfg)
         labels[0, 0, 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite"):
@@ -461,7 +474,7 @@ class TestTotalLoss:
 
 class TestTrainLoop:
     def test_loss_improves(self):
-        cfg = dataclasses.replace(TINY, gamma_distill=0.0, epochs=30)
+        cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0, epochs=30)
         student, x, labels = _student_and_batch(cfg)
         initial, final, projection = _train(student, x, labels, None, cfg, None)
         assert final < initial
@@ -470,7 +483,7 @@ class TestTrainLoop:
     def test_divergence_raises(self):
         # from a random init almost any step improves the (bounded) loss, so
         # converge first, then take steps far too large to stay there
-        cfg = dataclasses.replace(TINY, gamma_distill=0.0, epochs=40)
+        cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0, epochs=40)
         student, x, labels = _student_and_batch(cfg)
         _train(student, x, labels, None, cfg, None)
         wild = dataclasses.replace(cfg, epochs=5, learning_rate=50.0)
