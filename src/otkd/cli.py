@@ -4,9 +4,11 @@ Subcommands: `sinkhorn` (solve a transport instance from CSV files),
 `experiment` (run the distillation experiment, write reports), and `pnp`
 (solve a pose from a correspondence file).
 
-Exit codes: 0 success, 1 parse/config errors, 2 non-convergence or
-degenerate geometry, 3 training divergence.  `experiment` writes the rows
-finished before any failure, Ctrl-C included, then re-raises it.
+Exit codes: 0 success, 1 a flag or command mistake, 2 a Sinkhorn or PnP
+solve that stopped unconverged.  A toolkit error prints one `error:` line and
+exits with its class's `exit_code`, as `otkd.errors` lists them.
+`experiment` writes the rows finished before any failure, Ctrl-C included,
+then re-raises it.
 `OTKD_LOG` sets log verbosity (debug/info/warning/error).
 """
 from __future__ import annotations
@@ -23,12 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, DegenerateConfiguration, OtkdError,
-                     PointBehindCamera, TrainingDiverged)
+from .errors import InvalidInput, OtkdError
 from .geometry import CameraIntrinsics, KeypointSet
-from .harness import (CONDITIONS, ExperimentReport, TrainingConfig,
-                      make_teacher_ensemble, run_experiment, write_report_csv,
-                      write_report_json)
+from .harness import (CONDITIONS, TrainingConfig, make_teacher_ensemble,
+                      run_experiment, write_report_csv, write_report_json)
 from .pnp import Correspondences, pnp_solve
 from .sinkhorn import default_config, plan_residuals, sinkhorn_unbalanced
 
@@ -37,7 +37,6 @@ log = logging.getLogger("otkd")
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
-EXIT_DIVERGED = 3
 
 
 # --------------------------------------------------------------------------
@@ -51,7 +50,7 @@ def _read_matrix(path: str) -> np.ndarray:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise InvalidInput(f"{path}: {exc.strerror or exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -59,16 +58,16 @@ def _read_matrix(path: str) -> np.ndarray:
         try:
             row = [float(tok) for tok in body.replace(",", " ").split()]
         except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
         if not np.isfinite(row).all():
-            raise ConfigError(f"{path}: line {lineno}: values must be finite")
+            raise InvalidInput(f"{path}: line {lineno}: values must be finite")
         if width is not None and len(row) != width:
-            raise ConfigError(
+            raise InvalidInput(
                 f"{path}: line {lineno}: expected {width} values, got {len(row)}")
         width = len(row)
         rows.append(row)
     if not rows:
-        raise ConfigError(f"{path}: no numeric data")
+        raise InvalidInput(f"{path}: no numeric data")
     return np.array(rows)
 
 
@@ -87,13 +86,13 @@ def _parse_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+        raise InvalidInput(f"{path}: {exc.strerror or exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+            raise InvalidInput(f"{path}: line {lineno}: expected key=value")
         key, _, value = body.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -105,23 +104,19 @@ _EXTRA_KEYS = {"corrupt_teacher": bool, "num_seeds": int}
 
 
 def _coerce(name: str, raw: str):
-    if name in _EXTRA_KEYS:
-        kind = _EXTRA_KEYS[name]
-        if kind is bool:
-            try:
-                return _BOOL_WORDS[raw.lower()]
-            except KeyError:
-                raise ConfigError(f"{name}: expected a boolean, got {raw!r}") from None
-        return kind(raw)
-    field = _CONFIG_FIELDS[name]
+    kind = _EXTRA_KEYS[name] if name in _EXTRA_KEYS else _CONFIG_FIELDS[name].type
+    if kind is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise InvalidInput(f"{name}: expected a boolean, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
     try:
         if name == "corrupt_keypoints":
             return tuple(int(tok) for tok in raw.replace(",", " ").split())
-        if field.type in ("int", int):
+        if kind in ("int", int):
             return int(raw)
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+        raise InvalidInput(f"{name}: {exc}") from exc
 
 
 def _experiment_settings(args) -> tuple[TrainingConfig, bool, int]:
@@ -129,7 +124,7 @@ def _experiment_settings(args) -> tuple[TrainingConfig, bool, int]:
     if args.config:
         for key, raw in _parse_config_file(args.config).items():
             if key not in _CONFIG_FIELDS and key not in _EXTRA_KEYS:
-                raise ConfigError(f"{args.config}: unknown key {key!r}")
+                raise InvalidInput(f"{args.config}: unknown key {key!r}")
             values[key] = _coerce(key, raw)
     for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)
@@ -144,7 +139,7 @@ def _experiment_settings(args) -> tuple[TrainingConfig, bool, int]:
     if args.num_seeds is not None:
         num_seeds = args.num_seeds
     if num_seeds < 1:
-        raise ConfigError("num_seeds must be >= 1")
+        raise InvalidInput("num_seeds must be >= 1")
     return TrainingConfig(**values), corrupt, num_seeds
 
 
@@ -163,7 +158,7 @@ def cmd_sinkhorn(args) -> int:
     alpha_s = _read_vector(args.alpha_s)
     alpha_t = _read_vector(args.alpha_t)
     if alpha_s.size != cost.shape[0] or alpha_t.size != cost.shape[1]:
-        raise ConfigError(
+        raise InvalidInput(
             f"dimension mismatch: cost is {cost.shape[0]}x{cost.shape[1]}, "
             f"weights are {alpha_s.size} and {alpha_t.size}")
     overrides = {}
@@ -197,24 +192,20 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports = [ExperimentReport(c, [], {}, tuple(cfg.corrupt_keypoints)
-                                if corrupt else ()) for c in CONDITIONS]
+    rows = []
     finished = False
     try:
         log.info("training %d-member teacher ensemble", cfg.ensemble_size)
         teachers = make_teacher_ensemble(cfg)
-        for report in reports:
+        for condition in CONDITIONS:
             for seed in seeds:
-                one = run_experiment(report.condition, cfg, corrupt, seeds=[seed],
-                                     teachers=teachers)
-                report.rows += one.rows
-                report.uncertainty.update(one.uncertainty)
+                rows += run_experiment(condition, cfg, corrupt, seeds=[seed],
+                                       teachers=teachers).rows
         finished = True
     finally:  # on any exception, keep the rows finished so far
-        rows = [row for report in reports for row in report.rows]
         write_report_csv(rows, out_dir / "report.csv")
         if finished:
-            write_report_json(reports, cfg, seeds, out_dir / "summary.json")
+            write_report_json(rows, cfg, seeds, out_dir / "summary.json")
         manifest = {"seeds": seeds, "config_sha256": _config_digest(cfg, corrupt, seeds),
                     "version": __version__}
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2,
@@ -228,10 +219,10 @@ def cmd_experiment(args) -> int:
 def _read_correspondences(path: str, cam: CameraIntrinsics) -> Correspondences:
     data = _read_matrix(path)
     if data.shape[1] not in (5, 6):
-        raise ConfigError(
+        raise InvalidInput(
             f"{path}: expected 5 or 6 columns (u v X Y Z [w]), got {data.shape[1]}")
     if data.shape[0] < 6:
-        raise ConfigError(
+        raise InvalidInput(
             f"{path}: need at least 6 correspondences, got {data.shape[0]}")
     weights = data[:, 5] if data.shape[1] == 6 else None
     return Correspondences(points2d=KeypointSet(data[:, :2]), points3d=data[:, 2:5],
@@ -241,7 +232,7 @@ def _read_correspondences(path: str, cam: CameraIntrinsics) -> Correspondences:
 def cmd_pnp(args) -> int:
     cam_vals = _read_vector(args.cam)
     if cam_vals.size != 4:
-        raise ConfigError(f"{args.cam}: expected fx,fy,cx,cy")
+        raise InvalidInput(f"{args.cam}: expected fx,fy,cx,cy")
     cam = CameraIntrinsics(*cam_vals)
     corr = _read_correspondences(args.correspondences, cam)
     result = pnp_solve(corr)
@@ -325,18 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DegenerateConfiguration, PointBehindCamera) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except OtkdError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.exit_code
 
 
 if __name__ == "__main__":

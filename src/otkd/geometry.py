@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, OutOfRange, PointBehindCamera, ZeroGroundTruthTranslation
+from .errors import DegenerateGeometry, InvalidInput
 
 _ORTHO_TOL = 1e-9
 
@@ -27,9 +27,9 @@ class KeypointSet:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise EmptySet(f"expected a non-empty (N, 2) array, got shape {pts.shape}")
+            raise InvalidInput(f"expected a non-empty (N, 2) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
-            raise ValueError("keypoints must be finite")
+            raise InvalidInput("keypoints must be finite")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -47,12 +47,12 @@ class Model3D:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
-            raise ValueError(f"model needs >= 4 3D points, got shape {pts.shape}")
+            raise InvalidInput(f"model needs >= 4 3D points, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
         # diameter is the max pairwise distance; declared value must agree
         d = _max_pairwise_distance(pts)
         if not math.isclose(d, self.diameter, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(
+            raise InvalidInput(
                 f"declared diameter {self.diameter} != computed {d}"
             )
 
@@ -78,11 +78,11 @@ class Pose:
         R = np.asarray(self.rotation, dtype=float)
         t = np.asarray(self.translation, dtype=float).reshape(3)
         if R.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {R.shape}")
+            raise InvalidInput(f"rotation must be 3x3, got {R.shape}")
         if np.abs(R.T @ R - np.eye(3)).max() > _ORTHO_TOL:
-            raise ValueError("rotation is not orthonormal within 1e-9")
+            raise InvalidInput("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(R) - 1.0) > _ORTHO_TOL:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
+            raise InvalidInput("rotation determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -108,7 +108,7 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
-            raise OutOfRange("focal lengths must be strictly positive")
+            raise InvalidInput("focal lengths must be strictly positive")
 
 
 def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:
@@ -125,11 +125,11 @@ def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:
 
 
 def pinhole(points_cam: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
-    """(N, 3) camera-frame points -> (N, 2) pixels; raises PointBehindCamera
+    """(N, 3) camera-frame points -> (N, 2) pixels; raises DegenerateGeometry
     when any point has depth <= 0."""
     z = points_cam[:, 2]
     if (z <= 0).any():
-        raise PointBehindCamera(f"{int((z <= 0).sum())} point(s) at depth <= 0")
+        raise DegenerateGeometry(f"{int((z <= 0).sum())} point(s) at depth <= 0")
     return np.stack([cam.fx * points_cam[:, 0] / z + cam.cx,
                      cam.fy * points_cam[:, 1] / z + cam.cy], axis=1)
 
@@ -173,5 +173,5 @@ def pose_errors(pred: Pose, gt: Pose) -> tuple[float, float, float]:
     e_r = math.degrees(e_r_rad)
     tg = float(np.linalg.norm(gt.translation))
     if tg == 0.0:
-        raise ZeroGroundTruthTranslation("combined pose error needs |t_gt| > 0")
+        raise InvalidInput("combined pose error needs |t_gt| > 0")
     return e_t, e_r, e_r_rad + e_t / tg

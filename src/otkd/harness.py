@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateConfiguration, PointBehindCamera, TrainingDiverged
+from .errors import DegenerateGeometry, InvalidInput, TrainingDiverged
 from .geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose, add_01d_hit,
                        pose_errors, project)
 from .pfkd import (extract_regions, init_projection, receptive_field_extent,
@@ -95,7 +95,7 @@ class SyntheticScene:
     def __post_init__(self):
         reproj = project(self.model, self.gt_pose, self.cam).points
         if not np.allclose(reproj, self.gt_keypoints, atol=1e-6):
-            raise ValueError("gt_keypoints do not match the projected model")
+            raise InvalidInput("gt_keypoints do not match the projected model")
 
 
 def sample_pose(rng: np.random.Generator) -> Pose:
@@ -193,34 +193,39 @@ class TrainingConfig:
         for name in ("gamma_kpt", "gamma_p", "gamma_f",
                      "label_noise_px", "corrupt_noise_px"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise InvalidInput(f"{name} must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError("lam must lie in [0, 1]")
+            raise InvalidInput("lam must lie in [0, 1]")
         if self.ensemble_size < 1:
-            raise ConfigError("ensemble_size must be >= 1")
+            raise InvalidInput("ensemble_size must be >= 1")
         if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be > 0")
+            raise InvalidInput("learning_rate must be > 0")
         for name in ("epochs", "teacher_epochs", "train_scenes",
                      "teacher_scenes", "eval_scenes", "student_channels",
                      "teacher_channels"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+                raise InvalidInput(f"{name} must be >= 1")
         if not 1 <= self.num_keypoints <= NUM_CORNERS:
-            raise ConfigError(f"num_keypoints must be in [1, {NUM_CORNERS}]")
+            raise InvalidInput(f"num_keypoints must be in [1, {NUM_CORNERS}]")
         if not (self.tau > 0 or np.isinf(self.tau)):
-            raise ConfigError("tau must be positive or infinite")
+            raise InvalidInput("tau must be positive or infinite")
         if not self.uncertainty_scale > 0:
-            raise ConfigError("uncertainty_scale must be > 0")
+            raise InvalidInput("uncertainty_scale must be > 0")
         if not self.teacher_error_threshold_px > 0:
-            raise ConfigError("teacher_error_threshold_px must be > 0")
+            raise InvalidInput("teacher_error_threshold_px must be > 0")
         if not self.softmax_beta > 0:
-            raise ConfigError("softmax_beta must be > 0")
+            raise InvalidInput("softmax_beta must be > 0")
         if not 0 <= self.corrupt_member < self.ensemble_size:
-            raise ConfigError("corrupt_member must index an ensemble member")
+            raise InvalidInput("corrupt_member must index an ensemble member")
         bad = [k for k in self.corrupt_keypoints
                if not 0 <= k < NUM_CORNERS]
         if bad:
-            raise ConfigError(f"corrupt_keypoints out of range: {bad}")
+            raise InvalidInput(f"corrupt_keypoints out of range: {bad}")
+        nonfinite = [f.name for f in dataclasses.fields(self)  # tau may be inf
+                     if f.type == "float" and f.name != "tau"
+                     and not np.isfinite(getattr(self, f.name))]
+        if nonfinite:
+            raise InvalidInput(f"{nonfinite[0]} must be finite")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -396,8 +401,8 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
             dk = dk + gp * dpred
         if use_feat:
             if projection is None:
-                raise ConfigError("feature transfer is active but no channel "
-                                  "projection was supplied")
+                raise InvalidInput("feature transfer is active but no channel "
+                                   "projection was supplied")
             extent = targets.regions.shape[-1]
             regions, idx = extract_regions(fmaps, _region_centers(kps64), extent)
             adapted = np.einsum("ct,bntij->bncij", projection, targets.regions)
@@ -477,9 +482,6 @@ class ExperimentReport:
     uncertainty: dict[int, np.ndarray]    # seed -> mean u per teacher keypoint
     corrupt_keypoints: tuple[int, ...]
 
-    def mean_kpt_err(self) -> float:
-        return float(np.mean([r.kpt_err_px for r in self.rows]))
-
     def corruption_separation(self) -> dict[int, bool]:
         """Per seed: does every corrupted keypoint's u exceed the median u of
         the clean keypoints?"""
@@ -493,7 +495,7 @@ class ExperimentReport:
 
 def _condition_config(condition: str, cfg: TrainingConfig) -> TrainingConfig:
     if condition not in _CONDITION_OVERRIDES:
-        raise ConfigError(f"unknown condition {condition!r}")
+        raise InvalidInput(f"unknown condition {condition!r}")
     return dataclasses.replace(cfg, **_CONDITION_OVERRIDES[condition])
 
 
@@ -530,7 +532,7 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     as a miss with worst-case pose error; that keeps evaluation total even for
     badly undertrained students."""
     if cfg.num_keypoints < 6:
-        raise ConfigError("pose evaluation needs num_keypoints >= 6")
+        raise InvalidInput("pose evaluation needs num_keypoints >= 6")
     x, kps_gt = _stack(eval_scenes)
     kps_gt = kps_gt[:, :cfg.num_keypoints]
     preds, _ = student.forward(x)
@@ -547,7 +549,7 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
             hits.append(add_01d_hit(scene.model, result.pose, scene.gt_pose))
             e_rs.append(e_r)
             e_ts.append(e_t)
-        except (DegenerateConfiguration, PointBehindCamera):
+        except DegenerateGeometry:
             hits.append(False)
             e_rs.append(180.0)
             e_ts.append(float("inf"))
@@ -569,7 +571,7 @@ def run_experiment(condition: str, cfg: TrainingConfig,
     draw.
     """
     if condition not in _CONDITION_OVERRIDES:
-        raise ConfigError(f"unknown condition {condition!r}")
+        raise InvalidInput(f"unknown condition {condition!r}")
     eval_scenes = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
 
     rows = []
@@ -604,20 +606,23 @@ def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def summarize(reports: list[ExperimentReport]) -> dict:
+def summarize(rows: list[ReportRow]) -> dict:
     """Per-condition means and standard deviations of every numeric column."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(r.condition, []).append(r)
     out = {}
-    for rep in reports:
+    for condition, group in groups.items():
         cols = {}
         for name in ("kpt_err_px", "add01d_rate", "e_r_deg", "e_t_m"):
-            vals = np.array([getattr(r, name) for r in rep.rows])
+            vals = np.array([getattr(r, name) for r in group])
             cols[name] = {"mean": float(vals.mean()), "std": float(vals.std())}
-        out[rep.condition] = cols
+        out[condition] = cols
     return out
 
 
-def write_report_json(reports: list[ExperimentReport], cfg: TrainingConfig,
+def write_report_json(rows: list[ReportRow], cfg: TrainingConfig,
                       seeds: list[int], path: str | Path) -> None:
     payload = {"config": cfg.to_dict(), "seeds": list(seeds),
-               "conditions": summarize(reports)}
+               "conditions": summarize(rows)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

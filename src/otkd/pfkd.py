@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CenterOutsideMap, EmptyHead, ShapeMismatch
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class ConvLayerSpec:
 
     def __post_init__(self):
         if self.kernel < 1 or self.stride < 1:
-            raise ValueError(f"kernel/stride must be >= 1, got {self}")
+            raise InvalidInput(f"kernel/stride must be >= 1, got {self}")
 
 
 def receptive_field_extent(head: list[ConvLayerSpec]) -> int:
@@ -35,7 +35,7 @@ def receptive_field_extent(head: list[ConvLayerSpec]) -> int:
     extent x extent window.
     """
     if not head:
-        raise EmptyHead("need at least one conv layer")
+        raise InvalidInput("need at least one conv layer")
     extent = 1
     jump = 1  # product of strides of the layers before the current one
     for layer in head:
@@ -55,7 +55,7 @@ def extract_regions(fmaps: np.ndarray, centers: np.ndarray, extent: int):
     K = centers.shape[1]
     rows, cols = centers[:, :, 0], centers[:, :, 1]
     if ((rows < 0) | (rows >= H) | (cols < 0) | (cols >= W)).any():
-        raise CenterOutsideMap(f"a center lies outside the {H}x{W} map")
+        raise InvalidInput(f"a center lies outside the {H}x{W} map")
     # even extents put the extra cell after the center (bottom/right)
     offs = np.arange(extent) - (extent - 1) // 2
     rr = rows[:, :, None, None] + offs[None, None, :, None]
@@ -104,11 +104,11 @@ def region_loss(teacher: np.ndarray, student: np.ndarray, plans: np.ndarray):
     B, N = teacher.shape[:2]
     M = student.shape[1]
     if plans.shape != (B, M, N):
-        raise ShapeMismatch(
+        raise InvalidInput(
             f"plans {plans.shape}, expected {(B, M, N)} (student-major)")
     if teacher.shape[0] != student.shape[0] or teacher.shape[2:] != student.shape[2:]:
-        raise ShapeMismatch(f"teacher regions {teacher.shape} vs student "
-                            f"{student.shape} after adaptation")
+        raise InvalidInput(f"teacher regions {teacher.shape} vs student "
+                           f"{student.shape} after adaptation")
     C, H, W = student.shape[2:]
     sq = (teacher[:, None] - student[:, :, None]) ** 2   # (B, M, N, C, H, W)
     coef = 1.0 / (N * M * C * H * W)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, DimensionMismatch, NegativeWeight
+from .errors import DegenerateGeometry, InvalidInput
 from .geometry import (CameraIntrinsics, KeypointSet, Pose, pinhole,
                        rotation_from_axis_angle)
 
@@ -29,17 +29,17 @@ class Correspondences:
     def __post_init__(self):
         p3 = np.asarray(self.points3d, dtype=float)
         if p3.ndim != 2 or p3.shape[1] != 3:
-            raise ValueError(f"points3d must be (N, 3), got {p3.shape}")
+            raise InvalidInput(f"points3d must be (N, 3), got {p3.shape}")
         if p3.shape[0] != len(self.points2d):
-            raise DimensionMismatch(
+            raise InvalidInput(
                 f"{len(self.points2d)} 2D points vs {p3.shape[0]} 3D points")
         object.__setattr__(self, "points3d", p3)
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (p3.shape[0],):
-                raise DimensionMismatch("weights length mismatch")
+                raise InvalidInput("weights length mismatch")
             if not (w >= 0).all():
-                raise NegativeWeight("weights must be >= 0")
+                raise InvalidInput("weights must be >= 0")
             object.__setattr__(self, "weights", w)
 
 
@@ -75,6 +75,8 @@ def _dlt(p3: np.ndarray, xn: np.ndarray, w: np.ndarray):
     c2 = (xn * wn[:, None]).sum(axis=0)
     r2 = math.sqrt(float((wn * ((xn - c2) ** 2).sum(axis=1)).sum()))
     s2 = math.sqrt(2.0) / max(r2, 1e-12)
+    if not (0 < s3 < math.inf and 0 < s2 < math.inf):
+        raise DegenerateGeometry("point coordinates overflow the DLT normalization")
     p3n = (p3 - c3) * s3
     xnn = (xn - c2) * s2
 
@@ -101,7 +103,7 @@ def _dlt(p3: np.ndarray, xn: np.ndarray, w: np.ndarray):
     M = P[:, :3]
     scale = np.linalg.svd(M, compute_uv=False).mean()
     if scale < 1e-12:
-        raise DegenerateConfiguration("DLT produced a rank-deficient camera matrix")
+        raise DegenerateGeometry("DLT produced a rank-deficient camera matrix")
     R = _project_to_so3(M / scale)
     t = P[:, 3] / scale
     return R, t
@@ -144,12 +146,12 @@ def pnp_solve(c: Correspondences, max_iters: int = 100,
     w = np.ones(n) if c.weights is None else c.weights
     active = w > 0
     if int(active.sum()) < _MIN_POINTS:
-        raise DegenerateConfiguration(
+        raise DegenerateGeometry(
             f"need >= {_MIN_POINTS} positively weighted correspondences, "
             f"got {int(active.sum())}")
     centered = p3[active] - p3[active].mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9) < 3:
-        raise DegenerateConfiguration("3D points are (nearly) coplanar or collinear")
+        raise DegenerateGeometry("3D points are (nearly) coplanar or collinear")
 
     # normalized image coordinates decouple the intrinsics from the DLT
     xn = np.stack([(obs[:, 0] - c.cam.cx) / c.cam.fx,

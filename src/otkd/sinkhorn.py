@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionMismatch, EmptySet, NegativeWeight,
-                     OutOfRange)
+from .errors import InvalidInput
 from .geometry import KeypointSet
 
 
@@ -34,14 +33,14 @@ class SinkhornConfig:
     anneal: bool = True  # warm-start through larger epsilons before the target
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidInput("epsilon must be finite and > 0")
         if not self.tau > 0:
-            raise ConfigError("tau must be > 0")
+            raise InvalidInput("tau must be > 0")
         if self.max_iters < 1:
-            raise ConfigError("max_iters must be >= 1")
-        if not self.tol > 0:
-            raise ConfigError("tol must be > 0")
+            raise InvalidInput("max_iters must be >= 1")
+        if not 0 < self.tol < math.inf:
+            raise InvalidInput("tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -83,22 +82,22 @@ def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
     instances, and each instance is checked on its own."""
     C = np.asarray(cost, dtype=float)
     if C.ndim != ndim or 0 in C.shape:
-        raise EmptySet(f"cost must be a non-empty {ndim}D array, got shape {C.shape}")
+        raise InvalidInput(f"cost must be a non-empty {ndim}D array, got shape {C.shape}")
     if (C < 0).any() or not np.isfinite(C).all():
-        raise OutOfRange("cost entries must be finite and >= 0")
+        raise InvalidInput("cost entries must be finite and >= 0")
     lead, (M, N) = C.shape[:-2], C.shape[-2:]
     a = np.asarray(alpha_s, dtype=float)
     b = np.asarray(alpha_t, dtype=float)
     if a.size != math.prod(lead) * M or b.size != math.prod(lead) * N:
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"marginals of {a.size} and {b.size} entries vs cost {C.shape}")
     a = a.reshape(lead + (M,))
     b = b.reshape(lead + (N,))
     if not (np.isfinite(a).all() and np.isfinite(b).all()
             and (a >= 0).all() and (b >= 0).all()):
-        raise NegativeWeight("marginal weights must be finite and >= 0")
+        raise InvalidInput("marginal weights must be finite and >= 0")
     if (a.sum(axis=-1) == 0).any() or (b.sum(axis=-1) == 0).any():
-        raise NegativeWeight("marginals must not be all zero")
+        raise InvalidInput("marginals must not be all zero")
     return C, a, b
 
 
@@ -165,7 +164,7 @@ def plan_residuals(plan: TransportPlan, alpha_s, alpha_t) -> tuple[float, float]
     a = np.asarray(alpha_s, dtype=float).reshape(-1)
     b = np.asarray(alpha_t, dtype=float).reshape(-1)
     if plan.entries.shape != (a.shape[0], b.shape[0]):
-        raise DimensionMismatch(
+        raise InvalidInput(
             f"plan {plan.entries.shape} vs marginals {a.shape[0]}x{b.shape[0]}")
     return (float(np.abs(plan.entries.sum(axis=1) - a).sum()),
             float(np.abs(plan.entries.sum(axis=0) - b).sum()))

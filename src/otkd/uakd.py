@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import InvalidInput
 
 
 def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
@@ -26,8 +26,8 @@ def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
     """
     B, M, N = plans.shape
     if student.shape != (B, M, 2) or teacher.shape != (B, N, 2):
-        raise DimensionMismatch(f"keypoints {student.shape} and {teacher.shape} "
-                                f"vs plans {plans.shape}")
+        raise InvalidInput(f"keypoints {student.shape} and {teacher.shape} "
+                           f"vs plans {plans.shape}")
     disp = student[:, :, None, :] - teacher[:, None, :, :]     # (B, M, N, 2)
     dist = np.linalg.norm(disp, axis=3)
     loss = float((plans * dist).sum() / B)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyEnsemble, NonpositiveScale,
-                     OutOfRange, ZeroCount)
+from .errors import InvalidInput
 
 
 def aggregate(members: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
@@ -21,9 +20,9 @@ def aggregate(members: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray
     """
     m = np.asarray(members, dtype=float)
     if m.ndim != 3 or m.shape[2] != 2 or m.shape[0] == 0:
-        raise EmptyEnsemble(f"expected (E, N, 2) member stack, got {m.shape}")
+        raise InvalidInput(f"expected (E, N, 2) member stack, got {m.shape}")
     if not scale > 0:
-        raise NonpositiveScale(f"scale must be > 0, got {scale}")
+        raise InvalidInput(f"scale must be > 0, got {scale}")
     E = m.shape[0]
     mean = m.sum(axis=0) / E
     variance = (((m - mean) ** 2).sum(axis=0) / E).sum(axis=1)
@@ -34,13 +33,13 @@ def teacher_confidence(u: np.ndarray) -> np.ndarray:
     """Confidence weights: 1 - u, elementwise."""
     uu = np.asarray(u, dtype=float)
     if (uu < 0).any() or (uu > 1).any():
-        raise OutOfRange("uncertainty must lie in [0, 1]")
+        raise InvalidInput("uncertainty must lie in [0, 1]")
     return 1.0 - uu
 
 
 def student_uniform_weights(m: int) -> np.ndarray:
     if m < 1:
-        raise ZeroCount(f"need at least one student keypoint, got {m}")
+        raise InvalidInput(f"need at least one student keypoint, got {m}")
     return np.full(m, 1.0 / m)
 
 
@@ -48,12 +47,12 @@ def blend_weights(alpha_conf: np.ndarray, alpha_exist: np.ndarray,
                   lam: float) -> np.ndarray:
     """Convex combination lam * confidence + (1 - lam) * existence."""
     if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"blend factor must be in [0, 1], got {lam}")
+        raise InvalidInput(f"blend factor must be in [0, 1], got {lam}")
     ac = np.asarray(alpha_conf, dtype=float)
     ae = np.asarray(alpha_exist, dtype=float)
     if ac.shape != ae.shape:
-        raise DimensionMismatch(f"weight shapes differ: {ac.shape} vs {ae.shape}")
+        raise InvalidInput(f"weight shapes differ: {ac.shape} vs {ae.shape}")
     for name, arr in (("confidence", ac), ("existence", ae)):
         if (arr < 0).any() or (arr > 1).any():
-            raise OutOfRange(f"{name} weights must lie in [0, 1]")
+            raise InvalidInput(f"{name} weights must lie in [0, 1]")
     return lam * ac + (1.0 - lam) * ae

@@ -245,7 +245,8 @@ def test_criterion_6_metric_sanity():
 @pytest.mark.slow
 def test_criterion_7_directional_orderings(corrupted_experiment):
     reports, wall = corrupted_experiment
-    means = {r.condition: r.mean_kpt_err() for r in reports}
+    means = {r.condition: float(np.mean([row.kpt_err_px for row in r.rows]))
+             for r in reports}
     ordered = (means["UAKD"] < means["uniformOT"]
                and means["UAKD+PFKD"] <= means["UAKD"]
                and all(means[c] < means["noKD"]

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import run_cli, strip_wall_ms
 from otkd import __version__, cli
-from otkd.errors import PointBehindCamera
+from otkd.errors import DegenerateGeometry
 from otkd.geometry import Model3D, Pose, pose_errors, project
 from otkd.harness import (CONDITIONS, CSV_HEADER, box_model, default_camera,
                           make_teacher_ensemble, run_experiment, sample_pose)
@@ -167,7 +167,8 @@ class TestExperimentCommand:
                 row.kpt_err_px, row.add01d_rate, row.e_r_deg, row.e_t_m)
             assert int(epochs) == row.epochs
 
-        means = {r.condition: r.mean_kpt_err() for r in reports}
+        means = {r.condition: float(np.mean([row.kpt_err_px for row in r.rows]))
+                 for r in reports}
         assert means["UAKD"] < means["uniformOT"]
         assert means["UAKD+PFKD"] <= means["UAKD"]
         assert all(means[c] < means["noKD"] for c in CONDITIONS if c != "noKD")
@@ -252,6 +253,7 @@ class TestExperimentCommand:
         ("gamma_distill = 1", "unknown key 'gamma_distill'"),
         ("lam = 1.5", "lam"),
         ("epochs = soon", "soon"),
+        ("num_seeds = many", "many"),
         ("just words", "expected key=value"),
     ])
     def test_config_file_rejects(self, tmp_path, line, fragment):
@@ -261,6 +263,7 @@ class TestExperimentCommand:
                       "--out", str(tmp_path / "out"))
         assert res.returncode == 1
         assert fragment in res.stderr
+        assert "error:" in res.stderr and "Traceback" not in res.stderr
 
     def test_seed_flag_offsets_every_row(self, tmp_path):
         cfgfile = tmp_path / "tiny.cfg"
@@ -356,11 +359,17 @@ class TestPnpCommand:
         corr, camf, _, _ = pnp_files
 
         def explode(_):
-            raise PointBehindCamera("point at non-positive depth")
+            raise DegenerateGeometry("point at non-positive depth")
 
         monkeypatch.setattr(cli, "pnp_solve", explode)
         assert cli.main(["pnp", str(corr), str(camf)]) == 2
         assert "non-positive depth" in capsys.readouterr().err
+
+    def test_overflowing_pixel_is_degenerate(self, pnp_files, tmp_path):
+        res = run_cli(*_pnp_argv(tmp_path, pnp_files, col=0, value=1e200))
+        assert res.returncode == 2
+        assert "error: point coordinates overflow" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def _sinkhorn_argv(tmp_path, *flags, cost=((0.0, 1.0), (1.0, 0.0)),
@@ -398,9 +407,16 @@ def _pnp_argv(tmp_path, pnp_files, col=5, value=1.0, cam=None):
     lambda tmp, pnp: _pnp_argv(tmp, pnp, col=2, value=np.nan),
     lambda tmp, pnp: _pnp_argv(tmp, pnp, col=3, value=np.inf),
     lambda tmp, pnp: _pnp_argv(tmp, pnp, cam="0,220,32,32"),
+    lambda tmp, _: _sinkhorn_argv(tmp, "--epsilon", "inf"),
+    lambda tmp, _: _sinkhorn_argv(tmp, "--tol", "inf"),
+    lambda tmp, _: _sinkhorn_argv(tmp, cost=((0.0, 1e308), (1e308, 0.0))),
+    lambda tmp, _: ["experiment", "--gamma-p", "nan", "--out", str(tmp / "out")],
+    lambda tmp, _: ["experiment", "--learning-rate", "inf", "--out", str(tmp / "out")],
 ], ids=["tau-zero", "epsilon-negative", "max-iters-zero", "tol-zero",
         "negative-cost", "nan-cost", "nan-sinkhorn-weight", "negative-pnp-weight",
-        "nan-pnp-weight", "nan-pixel", "nan-3d", "inf-3d", "fx-zero"])
+        "nan-pnp-weight", "nan-pixel", "nan-3d", "inf-3d", "fx-zero",
+        "epsilon-inf", "tol-inf", "overflowing-cost", "nan-gamma-p",
+        "inf-learning-rate"])
 def test_bad_input_is_usage_error(tmp_path, pnp_files, make_argv):
     res = run_cli(*make_argv(tmp_path, pnp_files))
     assert res.returncode == 1

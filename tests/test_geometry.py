@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkd.errors import (EmptySet, PointBehindCamera,
-                         ZeroGroundTruthTranslation)
+from otkd.errors import DegenerateGeometry, InvalidInput
 from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
                            add_01d_hit, add_metric, add_s_metric, pose_errors,
                            project, rotation_from_axis_angle)
@@ -58,7 +57,7 @@ class TestProjection:
     def test_point_behind_camera(self):
         model = Model3D.from_points([[0, 0, 0.5], [0.01, 0, 0.5],
                                      [0, 0.01, 0.5], [0, 0, -0.5]])
-        with pytest.raises(PointBehindCamera):
+        with pytest.raises(DegenerateGeometry, match="depth <= 0"):
             project(model, Pose.identity(), CAM)
 
     def test_principal_point_fixed(self):
@@ -95,11 +94,11 @@ class TestRotations:
 
 class TestPose:
     def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="orthonormal"):
             Pose(rotation=np.eye(3) * 1.01, translation=np.zeros(3))
 
     def test_rejects_reflection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="determinant"):
             Pose(rotation=np.diag([1.0, 1.0, -1.0]), translation=np.zeros(3))
 
     def test_compose_matches_sequential_apply(self):
@@ -158,7 +157,7 @@ class TestPoseErrors:
 
     def test_zero_gt_translation_rejected(self):
         p = Pose(rotation=np.eye(3), translation=np.zeros(3))
-        with pytest.raises(ZeroGroundTruthTranslation):
+        with pytest.raises(InvalidInput, match=r"\|t_gt\| > 0"):
             pose_errors(p, p)
 
 
@@ -211,20 +210,20 @@ class TestAddMetrics:
 
 class TestTypes:
     def test_keypointset_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="finite"):
             KeypointSet(np.array([[0.0, np.nan]]))
 
     def test_keypointset_rejects_empty(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(InvalidInput, match="non-empty"):
             KeypointSet(np.zeros((0, 2)))
 
     def test_model_needs_four_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match=">= 4 3D points"):
             Model3D.from_points([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_model_diameter_checked(self):
         pts = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="declared diameter"):
             Model3D(points=pts, diameter=0.05)
 
 

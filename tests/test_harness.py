@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from otkd import harness
-from otkd.errors import ConfigError, TrainingDiverged
+from otkd.errors import InvalidInput, TrainingDiverged
 from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, IN_CHANNELS,
                           NUM_CORNERS, DistillTargets, ExperimentReport,
                           ReportRow, SyntheticScene, TrainingConfig,
@@ -70,7 +70,7 @@ class TestScenes:
 
     def test_mismatched_keypoints_rejected(self):
         s = make_scene(np.random.default_rng(1))
-        with pytest.raises(ValueError, match="projected"):
+        with pytest.raises(InvalidInput, match="projected"):
             SyntheticScene(model=s.model, gt_pose=s.gt_pose, cam=s.cam,
                            gt_keypoints=s.gt_keypoints + 1.0,
                            encoding=s.encoding)
@@ -100,9 +100,15 @@ class TestConfig:
         ("softmax_beta", 0.0), ("teacher_error_threshold_px", 0.0),
         ("corrupt_member", 4), ("corrupt_keypoints", (8,)),
         ("corrupt_keypoints", (-1,)),
+        ("gamma_kpt", np.inf), ("gamma_p", np.nan), ("gamma_f", np.inf),
+        ("lam", np.nan), ("learning_rate", np.inf),
+        ("learning_rate", np.nan), ("label_noise_px", np.nan),
+        ("corrupt_noise_px", np.inf), ("uncertainty_scale", np.inf),
+        ("softmax_beta", np.inf), ("teacher_error_threshold_px", np.inf),
+        ("tau", np.nan),
     ])
     def test_invalid_fields(self, field, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput, match=field):
             TrainingConfig(**{field: value})
 
     def test_infinite_tau_is_the_balanced_limit(self):
@@ -142,7 +148,7 @@ class TestConditionConfig:
         assert (weights("UAKD") < 1.0).any()
 
     def test_unknown_condition(self):
-        with pytest.raises(ConfigError, match="condition"):
+        with pytest.raises(InvalidInput, match="condition"):
             _condition_config("ADLP", TrainingConfig())
 
 
@@ -415,7 +421,7 @@ class TestTotalLoss:
         cfg = dataclasses.replace(TINY, gamma_f=2.0)
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(5))
-        with pytest.raises(ConfigError, match="projection"):
+        with pytest.raises(InvalidInput, match="projection"):
             total_loss(student, x, labels, targets, cfg)
 
     def test_nonfinite_loss_raises(self):
@@ -560,13 +566,13 @@ class TestExperiment:
         assert row.e_r_deg <= 180.0
 
     def test_unknown_condition_rejected(self, tiny_teachers):
-        with pytest.raises(ConfigError, match="condition"):
+        with pytest.raises(InvalidInput, match="condition"):
             run_experiment("FKD", TINY, seeds=[0], teachers=tiny_teachers)
 
     def test_pose_eval_needs_six_points(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, num_keypoints=5)
         student = ToyRegressor(_student_spec(cfg), np.random.default_rng(0))
-        with pytest.raises(ConfigError, match="6"):
+        with pytest.raises(InvalidInput, match="num_keypoints >= 6"):
             evaluate_student(student, cfg, make_scenes(2, np.random.default_rng(0)))
 
     def test_corruption_separation_logic(self):
@@ -592,14 +598,14 @@ class TestExperiment:
         assert int(fields[-1]) == 17
 
     def test_json_summary(self, tmp_path):
-        rows = [ReportRow("noKD", s, 2.0 + s, 0.5, 1.0, 0.01, 10, 5)
-                for s in (0, 1)]
-        rep = ExperimentReport("noKD", rows, {}, ())
-        assert rep.mean_kpt_err() == 2.5
+        rows = [ReportRow(c, s, 2.0 + s + k, 0.5, 1.0, 0.01, 10, 5)
+                for k, c in enumerate(("noKD", "UAKD")) for s in (0, 1)]
         path = tmp_path / "summary.json"
-        write_report_json([rep], TINY, [0, 1], path)
+        write_report_json(rows, TINY, [0, 1], path)
         payload = json.loads(path.read_text())
         assert payload["seeds"] == [0, 1]
         assert payload["config"]["ensemble_size"] == TINY.ensemble_size
+        assert set(payload["conditions"]) == {"noKD", "UAKD"}
         assert payload["conditions"]["noKD"]["kpt_err_px"]["mean"] == 2.5
         assert payload["conditions"]["noKD"]["kpt_err_px"]["std"] == 0.5
+        assert payload["conditions"]["UAKD"]["kpt_err_px"]["mean"] == 3.5

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkd.errors import DegenerateConfiguration, DimensionMismatch
+from otkd.errors import DegenerateGeometry, InvalidInput
 from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
                            pose_errors, project)
 from otkd.pnp import Correspondences, pnp_solve, reprojection_rms
@@ -127,7 +127,7 @@ class TestWeights:
         rng = np.random.default_rng(5)
         pose = random_pose(rng)
         w = np.array([1.0] * 5 + [0.0] * 3)
-        with pytest.raises(DegenerateConfiguration, match="6"):
+        with pytest.raises(DegenerateGeometry, match="need >= 6"):
             pnp_solve(make_correspondences(rng, pose, n=8, weights=w))
 
 
@@ -135,7 +135,7 @@ class TestDegenerate:
     def test_rejects_fewer_than_six(self):
         rng = np.random.default_rng(6)
         pose = random_pose(rng)
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateGeometry, match="need >= 6"):
             pnp_solve(make_correspondences(rng, pose, n=5))
 
     def test_rejects_collinear_points(self):
@@ -143,7 +143,7 @@ class TestDegenerate:
         pose = random_pose(rng)
         p3 = np.outer(np.linspace(-0.05, 0.05, 8), np.array([1.0, 0.5, 0.2]))
         p2 = project_points(p3, pose, CAM)
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateGeometry, match="coplanar or collinear"):
             pnp_solve(Correspondences(p2, p3, CAM))
 
     def test_rejects_coplanar_points(self):
@@ -152,15 +152,26 @@ class TestDegenerate:
         p3 = random_points(rng, 8)
         p3[:, 2] = 0.01  # squash onto a plane
         p2 = project_points(p3, pose, CAM)
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateGeometry, match="coplanar or collinear"):
             pnp_solve(Correspondences(p2, p3, CAM))
 
+    @pytest.mark.parametrize("which", ["pixel", "point"])
+    def test_overflowing_coordinate_is_degenerate(self, which):
+        # one huge but finite coordinate overflows the similarity normalization
+        rng = np.random.default_rng(12)
+        c = make_correspondences(rng, random_pose(rng))
+        p2, p3 = c.points2d.points.copy(), c.points3d.copy()
+        (p2 if which == "pixel" else p3)[0, 0] = 1e200
+        with np.errstate(over="ignore"), \
+                pytest.raises(DegenerateGeometry, match="overflow the DLT"):
+            pnp_solve(Correspondences(KeypointSet(p2), p3, CAM))
+
     def test_rejects_count_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="2D points vs"):
             Correspondences(KeypointSet(np.zeros((3, 2))), np.zeros((4, 3)), CAM)
 
     def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="weights must be >= 0"):
             Correspondences(KeypointSet(np.zeros((6, 2))), np.zeros((6, 3)),
                             CAM, weights=np.array([1, 1, 1, 1, 1, -1.0]))
 

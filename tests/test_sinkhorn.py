@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkd.errors import DimensionMismatch, EmptySet, NegativeWeight
+from otkd.errors import InvalidInput
 from otkd.geometry import KeypointSet
 from otkd.sinkhorn import (SinkhornConfig, cost_matrix, default_config,
                            plan_residuals, sinkhorn_unbalanced,
@@ -235,54 +235,54 @@ class TestMechanics:
 
 class TestValidation:
     def test_rejects_negative_cost(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match="cost entries"):
             sinkhorn_unbalanced(np.array([[-1.0]]), [1.0], [1.0])
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="marginals of"):
             sinkhorn_unbalanced(np.ones((2, 2)), [1.0], [0.5, 0.5])
 
     def test_rejects_empty(self):
-        with pytest.raises(EmptySet):
+        with pytest.raises(InvalidInput, match="non-empty"):
             sinkhorn_unbalanced(np.zeros((0, 2)), [], [0.5, 0.5])
 
     def test_rejects_negative_weights(self):
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(InvalidInput, match="finite and >= 0"):
             sinkhorn_unbalanced(np.ones((2, 2)), [0.5, -0.5], [0.5, 0.5])
 
     def test_rejects_all_zero_marginal(self):
-        with pytest.raises(NegativeWeight):
+        with pytest.raises(InvalidInput, match="all zero"):
             sinkhorn_unbalanced(np.ones((2, 2)), [0.0, 0.0], [0.5, 0.5])
 
-    @pytest.mark.parametrize("spoil,error", [
-        (lambda c, a, b: c.__setitem__((1, 2, 3), np.nan), ValueError),
-        (lambda c, a, b: c.__setitem__((1, 0, 0), -0.5), ValueError),
-        (lambda c, a, b: a.__setitem__((1, 2), -0.25), NegativeWeight),
-        (lambda c, a, b: b.__setitem__(1, 0.0), NegativeWeight),
-        (lambda c, a, b: a.__setitem__(1, 0.0), NegativeWeight),
-        (lambda c, a, b: a.__setitem__((1, 3), np.nan), NegativeWeight),
-        (lambda c, a, b: b.__setitem__((1, 0), np.inf), NegativeWeight),
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda c, a, b: c.__setitem__((1, 2, 3), np.nan), "cost entries"),
+        (lambda c, a, b: c.__setitem__((1, 0, 0), -0.5), "cost entries"),
+        (lambda c, a, b: a.__setitem__((1, 2), -0.25), "weights must be finite"),
+        (lambda c, a, b: b.__setitem__(1, 0.0), "all zero"),
+        (lambda c, a, b: a.__setitem__(1, 0.0), "all zero"),
+        (lambda c, a, b: a.__setitem__((1, 3), np.nan), "weights must be finite"),
+        (lambda c, a, b: b.__setitem__((1, 0), np.inf), "weights must be finite"),
     ], ids=["nan-cost", "negative-cost", "negative-weight", "zero-teacher",
             "zero-student", "nan-weight", "inf-weight"])
-    def test_batch_and_single_reject_alike(self, spoil, error):
+    def test_batch_and_single_reject_alike(self, spoil, message):
         # one bad instance among valid ones: the single solver sees it alone
         rng = np.random.default_rng(11)
         costs = rng.uniform(0.1, 1.0, (3, 4, 5))
         a = np.full((3, 4), 0.25)
         b = np.full((3, 5), 0.2)
         spoil(costs, a, b)
-        with pytest.raises(error):
+        with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced(costs[1], a[1], b[1])
-        with pytest.raises(error):
+        with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
 
-    @pytest.mark.parametrize("costs,a,b,error", [
-        (np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 2)), DimensionMismatch),
-        (np.ones((2, 3, 0)), np.ones((2, 3)), np.ones((2, 0)), EmptySet),
-        (np.ones((3, 3)), np.ones(3), np.ones(3), EmptySet),
-    ])
-    def test_batch_rejects_shapes(self, costs, a, b, error):
-        with pytest.raises(error):
+    @pytest.mark.parametrize("costs,a,b,message", [
+        (np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 2)), "marginals of"),
+        (np.ones((2, 3, 0)), np.ones((2, 3)), np.ones((2, 0)), "non-empty 3D"),
+        (np.ones((3, 3)), np.ones(3), np.ones(3), "non-empty 3D"),
+    ], ids=["marginal-sizes", "empty-instance", "missing-batch-axis"])
+    def test_batch_rejects_shapes(self, costs, a, b, message):
+        with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
 
     @pytest.mark.parametrize("kw", [dict(epsilon=0.0), dict(epsilon=0.1, tau=0.0),
@@ -290,12 +290,16 @@ class TestValidation:
                                     dict(epsilon=0.1, tol=0.0),
                                     dict(epsilon=0.1, tau=-1.0),
                                     dict(epsilon=0.1, tau=math.nan),
-                                    dict(epsilon=math.nan)])
+                                    dict(epsilon=math.nan),
+                                    dict(epsilon=math.inf),
+                                    dict(epsilon=0.1, tol=math.inf)])
     def test_config_validation(self, kw):
-        # the batched solver takes the same parameters loose, under the same rules
-        with pytest.raises(ValueError):
+        # the batched solver takes the same parameters loose, under the same
+        # rules; the last key of each case is the bad one
+        message = f"^{list(kw)[-1]} must be"
+        with pytest.raises(InvalidInput, match=message):
             SinkhornConfig(**kw)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced_batch(np.ones((2, 3, 3)), np.ones((2, 3)),
                                       np.ones((2, 3)), **{"tau": 10.0, **kw})
 

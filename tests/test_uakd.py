@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otkd.errors import DimensionMismatch
+from otkd.errors import InvalidInput
 from otkd.geometry import KeypointSet
 from otkd.sinkhorn import SinkhornConfig, cost_matrix, sinkhorn_unbalanced
 from otkd.uakd import transport_loss
@@ -132,7 +132,7 @@ class TestInvariances:
         np.testing.assert_allclose(g2, g1, atol=1e-9)
 
     def test_rejects_weight_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="marginals of"):
             scene_loss(kp((0, 0)), kp((1, 1)), [1.0, 1.0], [1.0])
 
 
@@ -184,5 +184,5 @@ def test_transport_loss_matches_scene_loop(B, m, n, seed):
 
 
 def test_transport_loss_rejects_shapes():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidInput, match="vs plans"):
         transport_loss(np.zeros((2, 3, 4)), np.zeros((2, 3, 2)), np.zeros((2, 3, 2)))

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from otkd.errors import (DimensionMismatch, EmptyEnsemble, NonpositiveScale,
-                         OutOfRange, ZeroCount)
+from otkd.errors import InvalidInput
 from otkd.uncertainty import (aggregate, blend_weights, student_uniform_weights,
                               teacher_confidence)
 
@@ -64,7 +63,7 @@ class TestStatistics:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_rejects_empty_stack(self):
-        with pytest.raises(EmptyEnsemble):
+        with pytest.raises(InvalidInput, match="member stack"):
             aggregate(np.zeros((0, 3, 2)), scale=1.0)
 
 
@@ -78,10 +77,10 @@ class TestUncertaintyMap:
         assert u[0] == pytest.approx(np.tanh(0.5))
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(NonpositiveScale):
+        with pytest.raises(InvalidInput, match="scale must be > 0"):
             aggregate(spread([1.0]), scale=0.0)
         for shape in ((2, 3), (2, 3, 3)):
-            with pytest.raises(EmptyEnsemble):
+            with pytest.raises(InvalidInput, match="member stack"):
                 aggregate(np.zeros(shape), scale=1.0)
 
     @settings(max_examples=50, deadline=None)
@@ -100,12 +99,12 @@ class TestWeights:
     def test_confidence_complements_uncertainty(self):
         u = np.array([0.0, 0.25, 1.0])
         np.testing.assert_array_equal(teacher_confidence(u), [1.0, 0.75, 0.0])
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="uncertainty must lie"):
             teacher_confidence(np.array([1.5]))
 
     def test_uniform_weights(self):
         np.testing.assert_allclose(student_uniform_weights(8), np.full(8, 0.125))
-        with pytest.raises(ZeroCount):
+        with pytest.raises(InvalidInput, match="at least one student keypoint"):
             student_uniform_weights(0)
 
     def test_blend_endpoints_bit_exact(self):
@@ -120,11 +119,11 @@ class TestWeights:
         np.testing.assert_array_equal(w, [0.5, 0.5])
 
     def test_blend_validation(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="blend factor"):
             blend_weights(np.array([0.5]), np.array([0.5]), 1.5)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidInput, match="confidence weights"):
             blend_weights(np.array([2.0]), np.array([0.5]), 0.5)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match="weight shapes differ"):
             blend_weights(np.array([0.5]), np.array([0.5, 0.5]), 0.5)
 
     @settings(max_examples=40, deadline=None)
