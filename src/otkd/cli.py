@@ -130,8 +130,6 @@ def _experiment_settings(args) -> tuple[TrainingConfig, bool, int]:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = _coerce(name, flag) if isinstance(flag, str) else flag
-    if args.seed is not None:
-        values["seed"] = args.seed
     corrupt = bool(values.pop("corrupt_teacher", False))
     if args.corrupt:
         corrupt = True
@@ -144,13 +142,16 @@ def _experiment_settings(args) -> tuple[TrainingConfig, bool, int]:
 
 
 def _config_digest(cfg: TrainingConfig, corrupt: bool, seeds: list[int]) -> str:
-    canon = json.dumps({"config": cfg.to_dict(), "corrupt_teacher": corrupt,
+    canon = json.dumps({"config": dataclasses.asdict(cfg), "corrupt_teacher": corrupt,
                         "seeds": seeds}, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------
 # subcommands
+
+
+_SINKHORN_FLAGS = ("epsilon", "tau", "max_iters", "tol")  # SinkhornConfig fields
 
 
 def cmd_sinkhorn(args) -> int:
@@ -161,15 +162,8 @@ def cmd_sinkhorn(args) -> int:
         raise InvalidInput(
             f"dimension mismatch: cost is {cost.shape[0]}x{cost.shape[1]}, "
             f"weights are {alpha_s.size} and {alpha_t.size}")
-    overrides = {}
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    if args.tol is not None:
-        overrides["tol"] = args.tol
+    overrides = {name: getattr(args, name) for name in _SINKHORN_FLAGS
+                 if getattr(args, name) is not None}
     if args.no_anneal:
         overrides["anneal"] = False
     cfg = default_config(cost, **overrides)
@@ -281,13 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run the distillation experiment")
     p_exp.add_argument("--config", help="key=value config file")
     p_exp.add_argument("--out", default="otkd-out", help="output directory")
-    p_exp.add_argument("--seed", type=int)
     p_exp.add_argument("--num-seeds", type=int, dest="num_seeds")
     p_exp.add_argument("--corrupt", action="store_true",
                        help="corrupt one teacher member's keypoints")
     for name, field in _CONFIG_FIELDS.items():
-        if name == "seed":
-            continue
         flag = "--" + name.replace("_", "-")
         if name == "corrupt_keypoints":
             p_exp.add_argument(flag, dest=name, metavar="K,K,...")

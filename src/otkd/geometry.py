@@ -9,7 +9,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,33 +38,20 @@ class KeypointSet:
 
 @dataclass(frozen=True)
 class Model3D:
-    """A rigid object given by its 3D keypoints, diameter, and symmetry flag."""
+    """A rigid object given by its 3D keypoints and symmetry flag; its
+    diameter is the largest distance between two keypoints."""
 
     points: np.ndarray  # (N, 3) meters
-    diameter: float
     symmetric: bool = False
+    diameter: float = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
             raise InvalidInput(f"model needs >= 4 3D points, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
-        # diameter is the max pairwise distance; declared value must agree
-        d = _max_pairwise_distance(pts)
-        if not math.isclose(d, self.diameter, rel_tol=1e-9, abs_tol=1e-12):
-            raise InvalidInput(
-                f"declared diameter {self.diameter} != computed {d}"
-            )
-
-    @classmethod
-    def from_points(cls, points, symmetric: bool = False) -> "Model3D":
-        pts = np.asarray(points, dtype=float)
-        return cls(pts, _max_pairwise_distance(pts), symmetric)
-
-
-def _max_pairwise_distance(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+        diff = pts[:, None, :] - pts[None, :, :]
+        object.__setattr__(self, "diameter", float(np.sqrt((diff ** 2).sum(-1)).max()))
 
 
 @dataclass(frozen=True)
@@ -85,15 +72,6 @@ class Pose:
             raise InvalidInput("rotation determinant is not +1 within 1e-9")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self applied after `other`: (self ∘ other)(p) = self(other(p))."""
-        return Pose(self.rotation @ other.rotation,
-                    self.rotation @ other.translation + self.translation)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation

@@ -76,7 +76,7 @@ def box_model() -> Model3D:
     dx, dy, dz = _BOX_DIMS
     pts = np.array([[sx * dx / 2, sy * dy / 2, sz * dz / 2]
                     for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)])
-    return Model3D.from_points(pts)
+    return Model3D(pts)
 
 
 def default_camera() -> CameraIntrinsics:
@@ -126,10 +126,9 @@ def _encode(kps: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return np.stack(chans + [coord_r, coord_c]).astype(_DT)
 
 
-def make_scene(rng: np.random.Generator, model: Model3D | None = None,
-               cam: CameraIntrinsics | None = None) -> SyntheticScene:
-    model = model or box_model()
-    cam = cam or default_camera()
+def make_scene(rng: np.random.Generator) -> SyntheticScene:
+    """The box in front of the default camera at a pose drawn from `rng`."""
+    model, cam = box_model(), default_camera()
     pose = sample_pose(rng)
     kps = project(model, pose, cam).points
     depths = pose.apply(model.points)[:, 2]
@@ -137,12 +136,8 @@ def make_scene(rng: np.random.Generator, model: Model3D | None = None,
                           gt_keypoints=kps, encoding=_encode(kps, depths))
 
 
-def make_scenes(count: int, rng: np.random.Generator,
-                model: Model3D | None = None,
-                cam: CameraIntrinsics | None = None) -> list[SyntheticScene]:
-    model = model or box_model()
-    cam = cam or default_camera()
-    return [make_scene(rng, model, cam) for _ in range(count)]
+def make_scenes(count: int, rng: np.random.Generator) -> list[SyntheticScene]:
+    return [make_scene(rng) for _ in range(count)]
 
 
 def _stack(scenes: list[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +185,8 @@ class TrainingConfig:
     teacher_error_threshold_px: float = 5.0
 
     def __post_init__(self):
-        for name in ("gamma_kpt", "gamma_p", "gamma_f",
-                     "label_noise_px", "corrupt_noise_px"):
+        for name in ("gamma_kpt", "gamma_p", "gamma_f", "label_noise_px",
+                     "corrupt_noise_px", "seed"):
             if getattr(self, name) < 0:
                 raise InvalidInput(f"{name} must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
@@ -227,21 +222,10 @@ class TrainingConfig:
         if nonfinite:
             raise InvalidInput(f"{nonfinite[0]} must be finite")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["corrupt_keypoints"] = list(self.corrupt_keypoints)
-        return d
 
-
-def _student_spec(cfg: TrainingConfig) -> RegressorSpec:
-    return RegressorSpec(in_channels=IN_CHANNELS, channels=cfg.student_channels,
-                         num_keypoints=cfg.num_keypoints, grid=GRID,
-                         image_size=IMAGE_SIZE, softmax_beta=cfg.softmax_beta)
-
-
-def _teacher_spec(cfg: TrainingConfig) -> RegressorSpec:
-    return RegressorSpec(in_channels=IN_CHANNELS, channels=cfg.teacher_channels,
-                         num_keypoints=NUM_CORNERS, grid=GRID,
+def _spec(cfg: TrainingConfig, channels: int, num_keypoints: int) -> RegressorSpec:
+    return RegressorSpec(in_channels=IN_CHANNELS, channels=channels,
+                         num_keypoints=num_keypoints, grid=GRID,
                          image_size=IMAGE_SIZE, softmax_beta=cfg.softmax_beta)
 
 
@@ -275,7 +259,7 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     held_out = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
     x, kps = _stack(scenes)
     xh, kh = _stack(held_out)
-    spec = _teacher_spec(cfg)
+    spec = _spec(cfg, cfg.teacher_channels, NUM_CORNERS)
     sup = dataclasses.replace(cfg, gamma_p=0.0, gamma_f=0.0,
                               num_keypoints=NUM_CORNERS, epochs=cfg.teacher_epochs)
     teachers = []
@@ -499,10 +483,10 @@ def _condition_config(condition: str, cfg: TrainingConfig) -> TrainingConfig:
     return dataclasses.replace(cfg, **_CONDITION_OVERRIDES[condition])
 
 
-def _train_one_seed(condition: str, cfg: TrainingConfig, seed: int,
+def _train_one_seed(cfg: TrainingConfig, seed: int,
                     teachers: list[ToyRegressor], corrupt_teacher: bool):
-    """Returns (student, per-keypoint mean u or None)."""
-    eff = _condition_config(condition, cfg)
+    """Trains one student under a condition's config (`_condition_config`);
+    returns (student, per-keypoint mean u or None)."""
     rng = np.random.default_rng(seed)
     scenes = make_scenes(cfg.train_scenes, rng)
     x, kps = _stack(scenes)
@@ -512,16 +496,17 @@ def _train_one_seed(condition: str, cfg: TrainingConfig, seed: int,
     u_mean = None
     targets = None
     projection = None
-    if eff.gamma_p > 0 or eff.gamma_f > 0:
+    if cfg.gamma_p > 0 or cfg.gamma_f > 0:
         corrupt_rng = np.random.default_rng(seed + 77) if corrupt_teacher else None
-        targets = prepare_targets(teachers, x, eff, corrupt_rng)
+        targets = prepare_targets(teachers, x, cfg, corrupt_rng)
         u_mean = targets.uncertainty.mean(axis=0)
-        if eff.gamma_f > 0:
+        if cfg.gamma_f > 0:
             projection = init_projection(cfg.student_channels,
                                          cfg.teacher_channels).astype(_DT)
 
-    student = ToyRegressor(_student_spec(cfg), np.random.default_rng(seed + 1000))
-    _train(student, x, labels, targets, eff, projection)
+    student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
+                           np.random.default_rng(seed + 1000))
+    _train(student, x, labels, targets, cfg, projection)
     return student, u_mean
 
 
@@ -570,16 +555,14 @@ def run_experiment(condition: str, cfg: TrainingConfig,
     student scenes, label noise, student initialization, and the corruption
     draw.
     """
-    if condition not in _CONDITION_OVERRIDES:
-        raise InvalidInput(f"unknown condition {condition!r}")
+    eff = _condition_config(condition, cfg)
     eval_scenes = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
 
     rows = []
     uncertainty = {}
     for seed in seeds:
         start = time.perf_counter()
-        student, u_mean = _train_one_seed(condition, cfg, seed, teachers,
-                                          corrupt_teacher)
+        student, u_mean = _train_one_seed(eff, seed, teachers, corrupt_teacher)
         metrics = evaluate_student(student, cfg, eval_scenes)
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
         rows.append(ReportRow(condition=condition, seed=seed,
@@ -595,14 +578,17 @@ def run_experiment(condition: str, cfg: TrainingConfig,
 # --------------------------------------------------------------------------
 # reports
 
-CSV_HEADER = "condition,seed,kpt_err_px,add01d_rate,e_r_deg,e_t_m,epochs,wall_ms"
+_COLUMNS = dataclasses.fields(ReportRow)
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+_METRICS = [f.name for f in _COLUMNS if f.type == "float"]
 
 
 def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:
+    """One line per row; floats in repr form, so they read back exactly."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(f"{r.condition},{r.seed},{r.kpt_err_px!r},{r.add01d_rate!r},"
-                     f"{r.e_r_deg!r},{r.e_t_m!r},{r.epochs},{r.wall_ms}")
+        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in dataclasses.astuple(r)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -614,7 +600,7 @@ def summarize(rows: list[ReportRow]) -> dict:
     out = {}
     for condition, group in groups.items():
         cols = {}
-        for name in ("kpt_err_px", "add01d_rate", "e_r_deg", "e_t_m"):
+        for name in _METRICS:
             vals = np.array([getattr(r, name) for r in group])
             cols[name] = {"mean": float(vals.mean()), "std": float(vals.std())}
         out[condition] = cols
@@ -623,6 +609,6 @@ def summarize(rows: list[ReportRow]) -> dict:
 
 def write_report_json(rows: list[ReportRow], cfg: TrainingConfig,
                       seeds: list[int], path: str | Path) -> None:
-    payload = {"config": cfg.to_dict(), "seeds": list(seeds),
+    payload = {"config": dataclasses.asdict(cfg), "seeds": list(seeds),
                "conditions": summarize(rows)}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

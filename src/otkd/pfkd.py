@@ -81,15 +81,13 @@ def scatter_region_grads(dfmaps: np.ndarray, dregions: np.ndarray, idx) -> None:
                        rs[..., None], cs[..., None]), masked)
 
 
-def init_projection(target_c: int, source_c: int,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
+def init_projection(target_c: int, source_c: int) -> np.ndarray:
     """Scaled identity blocks when source_c is a multiple of target_c, else
-    small random entries.  The matrix is trained alongside the student."""
+    small seeded random entries.  The matrix is trained alongside the student."""
     if source_c % target_c == 0:
         k = source_c // target_c
         return np.hstack([np.eye(target_c)] * k) / k
-    rng = rng or np.random.default_rng(0)
-    return rng.uniform(-0.1, 0.1, (target_c, source_c))
+    return np.random.default_rng(0).uniform(-0.1, 0.1, (target_c, source_c))
 
 
 def region_loss(teacher: np.ndarray, student: np.ndarray, plans: np.ndarray):

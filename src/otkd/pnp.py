@@ -17,6 +17,8 @@ from .geometry import (CameraIntrinsics, KeypointSet, Pose, pinhole,
                        rotation_from_axis_angle)
 
 _MIN_POINTS = 6  # unconstrained 12-parameter DLT needs 6 generic points
+_MAX_ITERS = 100  # Gauss-Newton steps
+_TOL = 1e-10  # converged once a step moves the pose by less than this
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,7 @@ def _residuals_and_jacobian(p3, obs, cam, R, t, sw):
     return r, J
 
 
-def pnp_solve(c: Correspondences, max_iters: int = 100,
-              tol: float = 1e-10) -> PnpResult:
+def pnp_solve(c: Correspondences) -> PnpResult:
     """DLT + Gauss-Newton.  Deterministic; weights of zero drop points exactly."""
     p3 = c.points3d
     obs = c.points2d.points
@@ -162,7 +163,7 @@ def pnp_solve(c: Correspondences, max_iters: int = 100,
     obs_a, p3_a = obs[active], p3[active]
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         r, J = _residuals_and_jacobian(p3_a, obs_a, c.cam, R, t, sw)
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
         # halve the step while it would push a point to nonpositive depth
@@ -177,7 +178,7 @@ def pnp_solve(c: Correspondences, max_iters: int = 100,
         else:
             break  # no cheirality-preserving step left; keep the estimate
         R, t = R_new, t_new
-        if scale_step * np.linalg.norm(step) < tol:
+        if scale_step * np.linalg.norm(step) < _TOL:
             converged = True
             break
     pose = Pose(R, t)

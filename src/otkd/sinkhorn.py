@@ -65,10 +65,15 @@ def default_epsilon(cost: np.ndarray):
 
 
 def default_config(cost: np.ndarray, **overrides) -> SinkhornConfig:
-    """Defaults with the regularization set relative to the cost scale."""
-    kw = dict(epsilon=float(default_epsilon(cost)), tau=10.0, max_iters=1000, tol=1e-6)
-    kw.update(overrides)
-    return SinkhornConfig(**kw)
+    """`SinkhornConfig`'s defaults with `overrides`; unless one is given,
+    epsilon is `default_epsilon(cost)`."""
+    if "epsilon" not in overrides:
+        with np.errstate(over="ignore"):
+            overrides["epsilon"] = float(default_epsilon(cost))
+        if overrides["epsilon"] == math.inf:
+            raise InvalidInput("the cost's mean overflows float64, so its scale "
+                               "sets no default epsilon; give epsilon explicitly")
+    return SinkhornConfig(**overrides)
 
 
 def _logsumexp_keep(x: np.ndarray, axis: int) -> np.ndarray:
@@ -191,6 +196,8 @@ def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
     C, a, b = _check_marginals(costs, alpha_s, alpha_t, ndim=3)
     B, M, N = C.shape
     eps = np.broadcast_to(np.asarray(epsilon, dtype=float).reshape(-1, 1, 1), (B, 1, 1))
+    if not (np.isfinite(eps) & (eps > 0)).all():
+        raise InvalidInput("epsilon must be finite and > 0 in every instance")
     SinkhornConfig(float(eps.min()), tau, max_iters, tol)  # raises on bad parameters
     with np.errstate(divide="ignore"):  # log(0) -> -inf marks empty support
         la = np.log(a)[:, :, None]

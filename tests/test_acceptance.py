@@ -200,7 +200,7 @@ def test_criterion_5_pnp_round_trip():
                                fy=rng.uniform(150.0, 400.0),
                                cx=rng.uniform(24.0, 40.0),
                                cy=rng.uniform(24.0, 40.0))
-        pts2d = project(Model3D.from_points(pts3d), pose, cam)
+        pts2d = project(Model3D(pts3d), pose, cam)
         res = pnp_solve(Correspondences(points2d=pts2d, points3d=pts3d,
                                         cam=cam))
         e_t, e_r, _ = pose_errors(res.pose, pose)
@@ -221,7 +221,7 @@ def test_criterion_6_metric_sanity():
     exact_zero = True
     symmetric_bounded = True
     for _ in range(100):
-        model = Model3D.from_points(rng.uniform(-0.1, 0.1, (8, 3)))
+        model = Model3D(rng.uniform(-0.1, 0.1, (8, 3)))
         pred = Pose(rotation_from_axis_angle(rng.normal(size=3)),
                     rng.uniform(-0.2, 0.2, 3))
         gt = Pose(rotation_from_axis_angle(rng.normal(size=3)),

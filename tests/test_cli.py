@@ -109,6 +109,13 @@ class TestSinkhornCommand:
         assert res.returncode == 1
         assert "dimension mismatch" in res.stderr
 
+    def test_overflowing_cost_names_its_scale(self, tmp_path):
+        # the mean of 1e308 entries overflows, so no default epsilon exists
+        res = run_cli(*_sinkhorn_argv(tmp_path, cost=((0.0, 1e308), (1e308, 0.0))))
+        assert res.returncode == 1
+        assert "error: the cost's mean overflows float64" in res.stderr
+        assert "Warning" not in res.stderr
+
 
 class TestExperimentCommand:
     @pytest.mark.slow
@@ -340,7 +347,7 @@ class TestPnpCommand:
         corr, camf, gt_pose, cam = pnp_files
         t = np.linspace(-0.5, 0.5, 8)[:, None]
         line3d = np.array([0.06, 0.04, 0.10]) * t
-        pts = project(Model3D.from_points(line3d), gt_pose, cam).points
+        pts = project(Model3D(line3d), gt_pose, cam).points
         bad = tmp_path / "collinear.csv"
         np.savetxt(bad, np.hstack([pts, line3d]), delimiter=",")
         res = run_cli("pnp", str(bad), str(camf))
@@ -412,11 +419,12 @@ def _pnp_argv(tmp_path, pnp_files, col=5, value=1.0, cam=None):
     lambda tmp, _: _sinkhorn_argv(tmp, cost=((0.0, 1e308), (1e308, 0.0))),
     lambda tmp, _: ["experiment", "--gamma-p", "nan", "--out", str(tmp / "out")],
     lambda tmp, _: ["experiment", "--learning-rate", "inf", "--out", str(tmp / "out")],
+    lambda tmp, _: ["experiment", "--seed", "-1", "--out", str(tmp / "out")],
 ], ids=["tau-zero", "epsilon-negative", "max-iters-zero", "tol-zero",
         "negative-cost", "nan-cost", "nan-sinkhorn-weight", "negative-pnp-weight",
         "nan-pnp-weight", "nan-pixel", "nan-3d", "inf-3d", "fx-zero",
         "epsilon-inf", "tol-inf", "overflowing-cost", "nan-gamma-p",
-        "inf-learning-rate"])
+        "inf-learning-rate", "negative-seed"])
 def test_bad_input_is_usage_error(tmp_path, pnp_files, make_argv):
     res = run_cli(*make_argv(tmp_path, pnp_files))
     assert res.returncode == 1

@@ -13,7 +13,7 @@ from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, IN_CHANNELS,
                           NUM_CORNERS, DistillTargets, ExperimentReport,
                           ReportRow, SyntheticScene, TrainingConfig,
                           _condition_config, _region_centers, _stack,
-                          _student_spec, _train, _train_one_seed,
+                          _spec, _train, _train_one_seed,
                           evaluate_student, make_scene, make_scenes,
                           make_teacher_ensemble, prepare_targets,
                           run_experiment, summarize, total_loss,
@@ -105,7 +105,7 @@ class TestConfig:
         ("learning_rate", np.nan), ("label_noise_px", np.nan),
         ("corrupt_noise_px", np.inf), ("uncertainty_scale", np.inf),
         ("softmax_beta", np.inf), ("teacher_error_threshold_px", np.inf),
-        ("tau", np.nan),
+        ("tau", np.nan), ("seed", -1),
     ])
     def test_invalid_fields(self, field, value):
         with pytest.raises(InvalidInput, match=field):
@@ -114,10 +114,12 @@ class TestConfig:
     def test_infinite_tau_is_the_balanced_limit(self):
         assert TrainingConfig(tau=float("inf")).tau == np.inf
 
-    def test_to_dict_is_json_ready(self):
-        d = TrainingConfig(corrupt_keypoints=(2, 5)).to_dict()
-        assert d["corrupt_keypoints"] == [2, 5]
-        json.dumps(d)
+    def test_summary_lists_corrupt_keypoints(self, tmp_path):
+        cfg = TrainingConfig(corrupt_keypoints=(2, 5))
+        write_report_json([], cfg, [0], tmp_path / "summary.json")
+        written = json.loads((tmp_path / "summary.json").read_text())["config"]
+        assert written["corrupt_keypoints"] == [2, 5]
+        assert written == json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 class TestConditionConfig:
@@ -285,7 +287,8 @@ def _student_and_batch(cfg, seed=0, scenes=3):
     x, kps = _stack(make_scenes(scenes, rng))
     kps = kps[:, :cfg.num_keypoints]
     labels = kps + rng.normal(0.0, 2.0, kps.shape)
-    student = ToyRegressor(_student_spec(cfg), np.random.default_rng(seed + 1))
+    student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
+                           np.random.default_rng(seed + 1))
     return student, x, labels
 
 
@@ -518,8 +521,10 @@ class TestTrainLoop:
     def test_nokd_equals_uniform_with_zero_gammas(self, tiny_teachers):
         base = dataclasses.replace(TINY, epochs=25)
         zeroed = dataclasses.replace(base, gamma_p=0.0, gamma_f=0.0)
-        s1, _ = _train_one_seed("noKD", base, 7, tiny_teachers, False)
-        s2, _ = _train_one_seed("uniformOT", zeroed, 7, tiny_teachers, False)
+        s1, _ = _train_one_seed(_condition_config("noKD", base), 7,
+                                tiny_teachers, False)
+        s2, _ = _train_one_seed(_condition_config("uniformOT", zeroed), 7,
+                                tiny_teachers, False)
         for p1, p2 in zip(s1.parameters(), s2.parameters()):
             assert np.array_equal(p1, p2)
 
@@ -571,7 +576,8 @@ class TestExperiment:
 
     def test_pose_eval_needs_six_points(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, num_keypoints=5)
-        student = ToyRegressor(_student_spec(cfg), np.random.default_rng(0))
+        student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
+                               np.random.default_rng(0))
         with pytest.raises(InvalidInput, match="num_keypoints >= 6"):
             evaluate_student(student, cfg, make_scenes(2, np.random.default_rng(0)))
 

@@ -145,7 +145,7 @@ class TestInitProjection:
         np.testing.assert_allclose(out.ravel(), [2.0, 3.0])
 
     def test_random_fallback(self):
-        proj = init_projection(3, 7, np.random.default_rng(1))
+        proj = init_projection(3, 7)
         assert proj.shape == (3, 7)
         assert (np.abs(proj) <= 0.1).all()
 

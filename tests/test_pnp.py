@@ -20,7 +20,7 @@ def translation_error(pred, gt):
 
 
 def project_points(p3, pose, cam):
-    return project(Model3D.from_points(p3), pose, cam)
+    return project(Model3D(p3), pose, cam)
 
 
 def random_pose(rng):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,14 @@ class TestMechanics:
         assert default_config(zero).epsilon > 0
         assert sinkhorn_unbalanced(zero, np.full(3, 1 / 3), np.full(3, 1 / 3)).converged
 
+    def test_default_config_rejects_overflowing_cost_scale(self):
+        huge = np.full((2, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            with pytest.raises(InvalidInput, match="cost's mean overflows"):
+                default_config(huge)
+            assert default_config(huge, epsilon=1.0).epsilon == 1.0
+
 
 class TestValidation:
     def test_rejects_negative_cost(self):
@@ -275,6 +284,13 @@ class TestValidation:
             sinkhorn_unbalanced(costs[1], a[1], b[1])
         with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
+
+    @pytest.mark.parametrize("epsilon", [[0.05, np.inf], [0.05, np.nan]],
+                             ids=["inf", "nan"])
+    def test_batch_rejects_bad_epsilon_in_any_instance(self, epsilon):
+        with pytest.raises(InvalidInput, match="^epsilon must be finite and > 0"):
+            sinkhorn_unbalanced_batch(np.ones((2, 3, 3)), np.ones((2, 3)),
+                                      np.ones((2, 3)), epsilon=epsilon, tau=10.0)
 
     @pytest.mark.parametrize("costs,a,b,message", [
         (np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 2)), "marginals of"),
