@@ -34,7 +34,7 @@ from .geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose, add_01d_hit
 from .pfkd import (extract_regions, init_projection, receptive_field_extent,
                    region_loss, scatter_region_grads)
 from .pnp import Correspondences, pnp_solve
-from .regressor import RegressorSpec, ToyRegressor
+from .regressor import RegressorSpec, ToyRegressor, backbone_columns
 from .sinkhorn import default_epsilon, sinkhorn_unbalanced_batch
 from .uakd import transport_loss
 from .uncertainty import (aggregate, blend_weights, student_uniform_weights,
@@ -141,9 +141,11 @@ def make_scenes(count: int, rng: np.random.Generator) -> list[SyntheticScene]:
 
 
 def _stack(scenes: list[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([s.encoding for s in scenes])
+    """The batch's backbone columns, built once for every net and epoch that
+    reads the batch, and its (B, NUM_CORNERS, 2) keypoints."""
+    cols = backbone_columns(np.stack([s.encoding for s in scenes]))
     k = np.stack([s.gt_keypoints for s in scenes])
-    return x, k
+    return cols, k
 
 
 # --------------------------------------------------------------------------
@@ -278,18 +280,19 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     return teachers
 
 
-def prepare_targets(teachers: list[ToyRegressor], encodings: np.ndarray,
+def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,
                     cfg: TrainingConfig,
                     corrupt_rng: np.random.Generator | None = None) -> DistillTargets:
-    """Runs the frozen ensemble on a scene batch and aggregates predictions,
-    blended weights, and mean feature regions.  When `corrupt_rng` is given,
-    one member's predictions for the configured keypoint subset get large
-    added noise before aggregation (the regions then come from the shifted
-    centers too, so the corruption reaches both transfer paths).  Raises
-    TrainingDiverged naming the first member whose keypoints are not finite."""
+    """Runs the frozen ensemble on a scene batch (`_stack`'s columns) and
+    aggregates predictions, blended weights, and mean feature regions.  When
+    `corrupt_rng` is given, one member's predictions for the configured
+    keypoint subset get large added noise before aggregation (the regions
+    then come from the shifted centers too, so the corruption reaches both
+    transfer paths).  Raises TrainingDiverged naming the first member whose
+    keypoints are not finite."""
     preds, feats = [], []
     for member, net in enumerate(teachers):
-        kps, fmap = net.forward(encodings)
+        kps, fmap = net.forward(cols)
         if not np.isfinite(kps).all():
             raise TrainingDiverged(
                 f"teacher member {member} predicted non-finite keypoints")
@@ -336,12 +339,13 @@ class TotalLossResult:
     converged: bool | None = None
 
 
-def total_loss(student: ToyRegressor, encodings: np.ndarray,
+def total_loss(student: ToyRegressor, cols: np.ndarray,
                keypoints_px: np.ndarray, targets: DistillTargets | None,
                cfg: TrainingConfig, projection: np.ndarray | None = None,
                plans: np.ndarray | None = None,
                warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> TotalLossResult:
-    """One objective evaluation with manual backpropagation.
+    """One objective evaluation with manual backpropagation on a scene batch
+    (`_stack`'s columns).
 
     L_kpt is mean squared pixel error against `keypoints_px`; the transfer
     terms follow the prediction- and feature-level losses with the coupling
@@ -349,7 +353,7 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
     differentiated through).  Gradients cover every student parameter plus,
     when the feature term is active, the channel projection.
     """
-    kps, fmaps = student.forward(encodings)
+    kps, fmaps = student.forward(cols)
     kps64 = np.asarray(kps, dtype=float)
     B, M, _ = kps.shape
 
@@ -410,7 +414,7 @@ def total_loss(student: ToyRegressor, encodings: np.ndarray,
                            converged=converged)
 
 
-def _train(student: ToyRegressor, encodings: np.ndarray, keypoints_px: np.ndarray,
+def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
            targets: DistillTargets | None, cfg: TrainingConfig,
            projection: np.ndarray | None):
     """Plain fixed-step gradient descent; returns (initial, final) loss and the
@@ -420,7 +424,7 @@ def _train(student: ToyRegressor, encodings: np.ndarray, keypoints_px: np.ndarra
     initial = None
     solves = capped = 0
     for epoch in range(cfg.epochs + 1):
-        res = total_loss(student, encodings, keypoints_px, targets, cfg,
+        res = total_loss(student, cols, keypoints_px, targets, cfg,
                          projection=projection, warm_start=warm)
         if res.potentials is not None:
             warm = res.potentials

@@ -9,6 +9,13 @@ checks rely on.
 
 All convolutions are stride-1 and same-padded; the head's layer spec is what
 `pfkd.receptive_field_extent` consumes to size feature regions.
+
+Activations are channels-last (B, H, W, C), the layout of the column matmul
+`cols @ weight.T`, so no layer transposes around it; `ToyRegressor` hands out
+the features as a (B, C, G, G) view and takes their gradient in that shape.
+Training is full-batch, so the caller builds a batch's backbone columns once
+(`backbone_columns`) and every net and epoch on that batch reads them.  The
+input is data: the backbone computes only its parameter gradients.
 """
 from __future__ import annotations
 
@@ -19,24 +26,33 @@ import numpy as np
 from .pfkd import ConvLayerSpec
 
 _DT = np.float32
+_BACKBONE_KERNEL = 3
 
 
 def im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, Ho, Wo, C*k*k) patch matrix for stride-1 conv."""
-    B, C, H, W = x.shape
+    """(B, H, W, C) -> (B, Ho, Wo, C*k*k) patch matrix for stride-1 conv,
+    columns in (c, di, dj) order; a 1x1 kernel's columns are `x` itself."""
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Ho = x.shape[2] - k + 1
-    Wo = x.shape[3] - k + 1
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    B, H, W, C = x.shape
+    Ho, Wo = H - k + 1, W - k + 1
     s = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, (B, C, Ho, Wo, k, k), (s[0], s[1], s[2], s[3], s[2], s[3]))
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        B, Ho, Wo, C * k * k)
+        x, (B, Ho, Wo, C, k, k), (s[0], s[1], s[2], s[3], s[1], s[2]))
+    return win.reshape(B, Ho, Wo, C * k * k)
+
+
+def backbone_columns(x: np.ndarray) -> np.ndarray:
+    """(B, C_in, G, G) network inputs -> the float32 columns that
+    `ToyRegressor.forward` takes.  Every backbone has the same kernel, so one
+    build serves every net and every epoch on the same batch."""
+    x = np.moveaxis(x, 1, -1).astype(_DT)
+    return im2col(x, _BACKBONE_KERNEL, (_BACKBONE_KERNEL - 1) // 2)
 
 
 class Conv2d:
-    """Same-padded stride-1 convolution with cached columns for backprop."""
+    """Same-padded stride-1 convolution on channels-last columns; keeps the
+    columns of the last forward for backprop."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, rng: np.random.Generator):
         self.c_in, self.c_out, self.kernel = c_in, c_out, kernel
@@ -47,31 +63,35 @@ class Conv2d:
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._cols = None
-        self._xshape = None
 
     def spec(self) -> ConvLayerSpec:
         return ConvLayerSpec(kernel=self.kernel, stride=1)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cols = im2col(x, self.kernel, self.pad)
-        self._xshape = x.shape
-        y = self._cols @ self.weight.T + self.bias
-        return y.transpose(0, 3, 1, 2)
+    def columns(self, x: np.ndarray) -> np.ndarray:
+        """(B, H, W, C_in) input -> the columns `forward` takes."""
+        return im2col(x, self.kernel, self.pad)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        B, c_out, Ho, Wo = dy.shape
-        dyf = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(-1, c_out)
+    def forward(self, cols: np.ndarray) -> np.ndarray:
+        """(B, H, W, C_in*k*k) columns -> (B, H, W, C_out) output."""
+        self._cols = cols
+        return cols @ self.weight.T + self.bias
+
+    def backward(self, dy: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
+        """dy: (B, H, W, C_out).  Sets the parameter gradients and returns the
+        (B, H, W, C_in) input gradient, or None when `input_grad` is False."""
+        B, Ho, Wo, c_out = dy.shape
+        dyf = dy.reshape(-1, c_out)
         self.grad_weight = dyf.T @ self._cols.reshape(-1, self._cols.shape[-1])
         self.grad_bias = dyf.sum(axis=0)
-        dcols = (dyf @ self.weight).reshape(B, Ho, Wo, self.c_in,
-                                            self.kernel, self.kernel)
-        _, C, H, W = self._xshape
+        if not input_grad:
+            return None
         k, pad = self.kernel, self.pad
-        dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dy.dtype)
+        dcols = (dyf @ self.weight).reshape(B, Ho, Wo, self.c_in, k, k)
+        dxp = np.zeros((B, Ho + 2 * pad, Wo + 2 * pad, self.c_in), dy.dtype)
         for di in range(k):
             for dj in range(k):
-                dxp[:, :, di:di + Ho, dj:dj + Wo] += dcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-        return dxp[:, :, pad:H + pad, pad:W + pad] if pad else dxp
+                dxp[:, di:di + Ho, dj:dj + Wo] += dcols[:, :, :, :, di, dj]
+        return dxp[:, pad:Ho + pad, pad:Wo + pad] if pad else dxp
 
 
 @dataclass
@@ -95,7 +115,7 @@ class ToyRegressor:
     def __init__(self, spec: RegressorSpec, rng: np.random.Generator):
         self.spec = spec
         c = spec.channels
-        self.backbone = Conv2d(spec.in_channels, c, 3, rng)
+        self.backbone = Conv2d(spec.in_channels, c, _BACKBONE_KERNEL, rng)
         self.head = [Conv2d(c, c, 3, rng), Conv2d(c, spec.num_keypoints, 1, rng)]
         g = spec.grid
         rr, cc = np.meshgrid(np.arange(g, dtype=_DT), np.arange(g, dtype=_DT),
@@ -119,11 +139,12 @@ class ToyRegressor:
             out += [layer.grad_weight, layer.grad_bias]
         return out
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x: (B, C_in, G, G) -> keypoints (B, M, 2) in pixels, features (B, C, G, G)."""
-        feats = np.tanh(self.backbone.forward(x.astype(_DT)))
-        a = np.tanh(self.head[0].forward(feats))
-        scores = self.head[1].forward(a)
+    def forward(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cols: `backbone_columns` of a (B, C_in, G, G) batch -> keypoints
+        (B, M, 2) in pixels, features (B, C, G, G)."""
+        feats = np.tanh(self.backbone.forward(cols))
+        a = np.tanh(self.head[0].forward(self.head[0].columns(feats)))
+        scores = self.head[1].forward(self.head[1].columns(a)).transpose(0, 3, 1, 2)
         B, M, g, _ = scores.shape
         logits = (self.spec.softmax_beta * scores).reshape(B, M, -1)
         logits -= logits.max(axis=2, keepdims=True)
@@ -135,30 +156,31 @@ class ToyRegressor:
         kps = np.stack([(col + 0.5) / self.spec.delta,
                         (row + 0.5) / self.spec.delta], axis=2)
         self._cache = (feats, a, prob)
-        return kps, feats
+        return kps, feats.transpose(0, 3, 1, 2)
 
     def backward(self, dkps: np.ndarray,
                  dfeats: np.ndarray | None = None) -> None:
         """Accumulates parameter gradients for the last forward pass.
 
         dkps: (B, M, 2) loss gradient in pixel coordinates; dfeats: optional
-        extra gradient flowing directly into the feature map (the feature-
-        distillation path).
+        (B, C, G, G) extra gradient flowing directly into the feature map (the
+        feature-distillation path).  The input is data, so the backbone
+        computes no input gradient.
         """
         feats, a, prob = self._cache
-        B = prob.shape[0]
+        B, M, _ = prob.shape
         dcol = dkps[:, :, 0] / self.spec.delta
         drow = dkps[:, :, 1] / self.spec.delta
         dprob = dcol[:, :, None] * self._cols + drow[:, :, None] * self._rows
         inner = (dprob * prob).sum(axis=2, keepdims=True)
         dlogits = self.spec.softmax_beta * prob * (dprob - inner)
         g = self.spec.grid
-        dscores = dlogits.reshape(B, -1, g, g).astype(_DT)
-        da = self.head[1].backward(dscores)
+        dscores = np.ascontiguousarray(dlogits.transpose(0, 2, 1), dtype=_DT)
+        da = self.head[1].backward(dscores.reshape(B, g, g, M))
         dfe = self.head[0].backward(da * (1.0 - a * a))
         if dfeats is not None:
-            dfe = dfe + dfeats.astype(_DT)
-        self.backbone.backward(dfe * (1.0 - feats * feats))
+            dfe = dfe + dfeats.transpose(0, 2, 3, 1).astype(_DT)
+        self.backbone.backward(dfe * (1.0 - feats * feats), input_grad=False)
 
     def gd_step(self, lr: float) -> None:
         for p, grad in zip(self.parameters(), self.gradients()):

@@ -147,10 +147,11 @@ def sinkhorn_unbalanced(cost: np.ndarray, alpha_s, alpha_t,
     total_iters = 0
     if cfg.anneal:
         # geometric schedule from a coarse epsilon down toward the target;
-        # each stage only warm-starts the next, so its own cap is soft
-        scale = max(float(Cs.mean()), cfg.epsilon)
-        e = 0.5 * scale
-        while e > cfg.epsilon * 4.0:
+        # each stage only warm-starts the next, so its own cap is soft; a
+        # cost whose mean overflows has no coarse scale and is solved unannealed
+        with np.errstate(over="ignore"):
+            e = 0.5 * max(float(Cs.mean()), cfg.epsilon)
+        while math.isfinite(e) and e > cfg.epsilon * 4.0:
             f, g, it, _ = _iterate(Cs, la, lb, e, cfg.tau, f, g, cfg.max_iters, cfg.tol)
             total_iters += it
             e /= 5.0

@@ -43,14 +43,17 @@ def corrupted_experiment():
     return reports, time.perf_counter() - start
 
 
-def run_cli(*argv: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, env: dict | None = None,
+            timeout: float | None = None) -> subprocess.CompletedProcess:
     """`python -m otkd.cli` on this checkout's sources, with `env` (default:
-    this process's environment) plus `src` first on PYTHONPATH."""
+    this process's environment) plus `src` first on PYTHONPATH; a run longer
+    than `timeout` seconds raises `subprocess.TimeoutExpired`."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "otkd.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 def strip_wall_ms(csv_text: str) -> list[str]:

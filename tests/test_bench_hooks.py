@@ -49,6 +49,10 @@ def test_hooks_count_one_solve(bench):
     assert batch.counts == {"iters": res.iterations,
                             "unconverged": int(not res.converged)}
     assert hook.stats["sinkhorn.lse"].calls == 2 * res.iterations
+    # the conv counters read Conv2d.forward's result and backward's gradient
+    # argument; a signature they no longer fit would zero regressor.conv.gflop
+    assert "regressor.conv" not in tracer.broken_counters
+    assert tracer.stats["regressor.conv"].counts["flop"] > 0
 
 
 def test_hooks_count_one_annealed_single_solve(bench):

@@ -116,6 +116,19 @@ class TestSinkhornCommand:
         assert "error: the cost's mean overflows float64" in res.stderr
         assert "Warning" not in res.stderr
 
+    def test_overflowing_cost_with_epsilon_solves_unannealed(self, tmp_path):
+        # the mean of 1e308 entries leaves the annealing schedule no finite
+        # start, so the solve is the unannealed one instead of never ending
+        argv = _sinkhorn_argv(tmp_path, "--epsilon", "1",
+                              cost=((0.0, 1e308), (1e308, 0.0)))
+        res = run_cli(*argv, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr
+        _, meta = _parse_plan(res.stdout)
+        assert meta["iterations"] == 59
+        unannealed = run_cli(*argv[:1], "--no-anneal", *argv[1:], timeout=60)
+        assert res.stdout == unannealed.stdout
+
 
 class TestExperimentCommand:
     @pytest.mark.slow

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otkd.pfkd import receptive_field_extent
-from otkd.regressor import Conv2d, RegressorSpec, ToyRegressor, im2col
+from otkd.regressor import (Conv2d, RegressorSpec, ToyRegressor,
+                            backbone_columns, im2col)
 
 SPEC = RegressorSpec(in_channels=4, channels=3, num_keypoints=2, grid=8,
                      image_size=32.0)
@@ -12,22 +15,58 @@ def make_net(seed=0, spec=SPEC):
     return ToyRegressor(spec, np.random.default_rng(seed))
 
 
+def nhwc(x):
+    """A (B, C, H, W) draw in the conv's channels-last layout."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def correlate(x, conv):
+    """Direct same-padded correlation of NHWC `x` with `conv`'s weights, in
+    float64: out[b, i, j, o] = sum over c, di, dj of
+    xpad[b, i + di, j + dj, c] * w[o, c, di, dj], plus the bias."""
+    B, H, W, C = x.shape
+    k, pad = conv.kernel, conv.pad
+    w = conv.weight.astype(float).reshape(conv.c_out, C, k, k)
+    xp = np.pad(x.astype(float), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    out = np.zeros((B, H, W, conv.c_out)) + conv.bias
+    for di in range(k):
+        for dj in range(k):
+            out += np.einsum("bhwc,oc->bhwo", xp[:, di:di + H, dj:dj + W],
+                             w[:, :, di, dj])
+    return out
+
+
+conv_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+                        st.sampled_from((1, 3)), st.integers(1, 6),
+                        st.integers(1, 6), st.integers(0, 10_000))
+
+
 class TestIm2col:
     def test_matches_naive_window_gather(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 3, 5, 5))
+        x = nhwc(rng.normal(size=(2, 3, 5, 5)))
         cols = im2col(x, 3, 1)
         assert cols.shape == (2, 5, 5, 27)
-        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        # window at output (2, 3) spans padded rows 2..4, cols 3..5
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        # window at output (2, 3) spans padded rows 2..4, cols 3..5, in
+        # (c, di, dj) order
         np.testing.assert_array_equal(
-            cols[1, 2, 3], padded[1, :, 2:5, 3:6].ravel())
+            cols[1, 2, 3], padded[1, 2:5, 3:6, :].transpose(2, 0, 1).ravel())
 
     def test_kernel_one_is_channel_vector(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 4, 3, 3))
+        x = nhwc(rng.normal(size=(1, 4, 3, 3)))
         cols = im2col(x, 1, 0)
-        np.testing.assert_array_equal(cols[0, 1, 2], x[0, :, 1, 2])
+        np.testing.assert_array_equal(cols[0, 1, 2], x[0, 1, 2, :])
+        # a 1x1 kernel's columns are its input, not a copy
+        assert np.shares_memory(cols, x)
+
+    def test_backbone_columns_of_channels_first_input(self):
+        x = np.random.default_rng(2).normal(size=(2, 4, 5, 5))
+        cols = backbone_columns(x)
+        assert cols.dtype == np.float32
+        np.testing.assert_array_equal(
+            cols, im2col(nhwc(x).astype(np.float32), 3, 1))
 
 
 class TestConv2d:
@@ -35,22 +74,51 @@ class TestConv2d:
         scipy_signal = pytest.importorskip("scipy.signal")
         rng = np.random.default_rng(2)
         conv = Conv2d(2, 3, 3, rng)
-        x = rng.normal(size=(1, 2, 6, 6)).astype(np.float32)
-        y = conv.forward(x)
+        x = nhwc(rng.normal(size=(1, 2, 6, 6)).astype(np.float32))
+        y = conv.forward(conv.columns(x))
         w = conv.weight.reshape(3, 2, 3, 3)
         for o in range(3):
-            want = sum(scipy_signal.correlate2d(x[0, c], w[o, c], mode="same")
+            want = sum(scipy_signal.correlate2d(x[0, :, :, c], w[o, c], mode="same")
                        for c in range(2)) + conv.bias[o]
-            np.testing.assert_allclose(y[0, o], want, atol=1e-5)
+            np.testing.assert_allclose(y[0, :, :, o], want, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_shapes)
+    def test_forward_matches_direct_correlation(self, shape):
+        B, c_in, c_out, k, H, W, seed = shape
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, k, rng)
+        conv.bias = rng.normal(size=c_out).astype(np.float32)
+        x = rng.normal(size=(B, H, W, c_in)).astype(np.float32)
+        y = conv.forward(conv.columns(x))
+        assert y.shape == (B, H, W, c_out)
+        np.testing.assert_allclose(y, correlate(x, conv), rtol=1e-5, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_shapes)
+    def test_backward_is_adjoint_of_forward(self, shape):
+        # with zero bias the conv is linear in x: <conv(x), dy> = <x, dx>
+        B, c_in, c_out, k, H, W, seed = shape
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, k, rng)
+        x = rng.normal(size=(B, H, W, c_in)).astype(np.float32)
+        dy = rng.normal(size=(B, H, W, c_out)).astype(np.float32)
+        y = conv.forward(conv.columns(x))
+        dx = conv.backward(dy)
+        assert dx.shape == x.shape
+        lhs = float((y.astype(float) * dy).sum())
+        rhs = float((x.astype(float) * dx).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-4)
 
     def test_gradcheck_weights(self):
         rng = np.random.default_rng(3)
         conv = Conv2d(2, 2, 3, rng)
-        x = rng.normal(size=(2, 2, 4, 4)).astype(np.float32)
-        g = np.random.default_rng(4).normal(size=(2, 2, 4, 4)).astype(np.float32)
+        x = nhwc(rng.normal(size=(2, 2, 4, 4)).astype(np.float32))
+        g = nhwc(np.random.default_rng(4).normal(size=(2, 2, 4, 4)).astype(np.float32))
+        cols = conv.columns(x)
 
         def loss():
-            return float((conv.forward(x) * g).sum())
+            return float((conv.forward(cols) * g).sum())
 
         loss()
         conv.backward(g)
@@ -69,27 +137,41 @@ class TestConv2d:
     def test_gradcheck_input(self):
         rng = np.random.default_rng(5)
         conv = Conv2d(2, 2, 3, rng)
-        x = rng.normal(size=(1, 2, 4, 4)).astype(np.float32)
-        g = np.random.default_rng(6).normal(size=(1, 2, 4, 4)).astype(np.float32)
-        conv.forward(x)
+        x = nhwc(rng.normal(size=(1, 2, 4, 4)).astype(np.float32))
+        g = nhwc(np.random.default_rng(6).normal(size=(1, 2, 4, 4)).astype(np.float32))
+        conv.forward(conv.columns(x))
         dx = conv.backward(g)
         h = 1e-3
-        for idx in [(0, 0, 0, 0), (0, 1, 2, 3), (0, 0, 3, 1)]:
+        # (b, h, w, c): the channels-first points (0,0,0,0), (0,1,2,3), (0,0,3,1)
+        for idx in [(0, 0, 0, 0), (0, 2, 3, 1), (0, 3, 1, 0)]:
             xp = x.copy()
             xp[idx] += h
-            up = float((conv.forward(xp) * g).sum())
+            up = float((conv.forward(conv.columns(xp)) * g).sum())
             xm = x.copy()
             xm[idx] -= h
-            dn = float((conv.forward(xm) * g).sum())
+            dn = float((conv.forward(conv.columns(xm)) * g).sum())
             fd = (up - dn) / (2 * h)
             assert dx[idx] == pytest.approx(fd, rel=2e-2, abs=2e-3)
+
+    def test_without_input_grad_sets_the_same_parameter_gradients(self):
+        rng = np.random.default_rng(7)
+        conv = Conv2d(3, 2, 3, rng)
+        cols = conv.columns(rng.normal(size=(2, 5, 5, 3)).astype(np.float32))
+        dy = rng.normal(size=(2, 5, 5, 2)).astype(np.float32)
+        conv.forward(cols)
+        assert conv.backward(dy) is not None
+        want = conv.grad_weight.copy(), conv.grad_bias.copy()
+        conv.forward(cols)
+        assert conv.backward(dy, input_grad=False) is None
+        np.testing.assert_array_equal(conv.grad_weight, want[0])
+        np.testing.assert_array_equal(conv.grad_bias, want[1])
 
 
 class TestToyRegressor:
     def test_output_shapes_and_ranges(self):
         net = make_net()
         x = np.random.default_rng(7).normal(size=(3, 4, 8, 8))
-        kps, feats = net.forward(x)
+        kps, feats = net.forward(backbone_columns(x))
         assert kps.shape == (3, 2, 2)
         assert feats.shape == (3, 3, 8, 8)
         # soft-argmax of grid cells stays inside the image
@@ -97,7 +179,7 @@ class TestToyRegressor:
         assert (np.abs(feats) <= 1.0).all()
 
     def test_deterministic_for_same_seed(self):
-        x = np.random.default_rng(8).normal(size=(2, 4, 8, 8))
+        x = backbone_columns(np.random.default_rng(8).normal(size=(2, 4, 8, 8)))
         a, _ = make_net(seed=11).forward(x)
         b, _ = make_net(seed=11).forward(x)
         np.testing.assert_array_equal(a, b)
@@ -122,7 +204,7 @@ class TestToyRegressor:
         # full-network check against central differences of a scalar loss
         net = make_net(seed=20)
         rng = np.random.default_rng(21)
-        x = rng.normal(size=(2, 4, 8, 8)).astype(np.float32)
+        x = backbone_columns(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
         target = rng.uniform(4.0, 28.0, (2, 2, 2))
 
         def loss_value():
@@ -154,7 +236,7 @@ class TestToyRegressor:
         # a pure feature loss
         net = make_net(seed=30)
         rng = np.random.default_rng(31)
-        x = rng.normal(size=(1, 4, 8, 8)).astype(np.float32)
+        x = backbone_columns(rng.normal(size=(1, 4, 8, 8)).astype(np.float32))
         gmat = rng.normal(size=(1, 3, 8, 8)).astype(np.float32)
 
         def loss_value():
@@ -178,7 +260,7 @@ class TestToyRegressor:
     def test_gd_step_descends(self):
         net = make_net(seed=40)
         rng = np.random.default_rng(41)
-        x = rng.normal(size=(4, 4, 8, 8)).astype(np.float32)
+        x = backbone_columns(rng.normal(size=(4, 4, 8, 8)).astype(np.float32))
         target = rng.uniform(8.0, 24.0, (4, 2, 2))
         losses = []
         for _ in range(60):
@@ -191,8 +273,26 @@ class TestToyRegressor:
     def test_gd_step_keeps_dtype(self):
         net = make_net()
         x = np.random.default_rng(42).normal(size=(1, 4, 8, 8))
-        kps, _ = net.forward(x)
+        kps, _ = net.forward(backbone_columns(x))
         net.backward(np.ones_like(kps))
         net.gd_step(0.01)
         for p in net.parameters():
             assert p.dtype == np.float32
+
+    def test_columns_built_once_match_fresh_columns(self):
+        # training reuses one build of a batch's columns every epoch; each
+        # step must give the bytes that freshly built columns give
+        x = np.random.default_rng(43).normal(size=(3, 4, 8, 8))
+        target = np.random.default_rng(44).uniform(8.0, 24.0, (3, 2, 2))
+        once = backbone_columns(x)
+        kept, fresh = make_net(seed=45), make_net(seed=45)
+        for _ in range(5):
+            for net, cols in ((kept, once), (fresh, backbone_columns(x))):
+                kps, feats = net.forward(cols)
+                net.backward(kps - target, dfeats=feats)
+                net.gd_step(0.01)
+            for a, b in zip(kept.parameters(), fresh.parameters()):
+                assert a.tobytes() == b.tobytes()
+        assert once.tobytes() == backbone_columns(x).tobytes()
+        assert kept.forward(once)[0].tobytes() == fresh.forward(
+            backbone_columns(x))[0].tobytes()

@@ -182,6 +182,18 @@ class TestMechanics:
         assert direct.converged and annealed.converged
         np.testing.assert_allclose(annealed.entries, direct.entries, atol=1e-6)
 
+    def test_overflowing_cost_mean_is_solved_unannealed(self):
+        # the mean of 1e308 entries gives the schedule no finite start
+        cost = np.array([[0.0, 1e308], [1e308, 0.0]])
+        a = np.full(2, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            plan = sinkhorn_unbalanced(cost, a, a, SinkhornConfig(epsilon=1.0))
+        direct = sinkhorn_unbalanced(cost, a, a,
+                                     SinkhornConfig(epsilon=1.0, anneal=False))
+        assert plan.converged and plan.iterations == direct.iterations == 59
+        assert plan.entries.tobytes() == direct.entries.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8),
            st.booleans(), st.integers(0, 10_000))
