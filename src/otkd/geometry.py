@@ -50,8 +50,7 @@ class Model3D:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
             raise InvalidInput(f"model needs >= 4 3D points, got shape {pts.shape}")
         object.__setattr__(self, "points", pts)
-        diff = pts[:, None, :] - pts[None, :, :]
-        object.__setattr__(self, "diameter", float(np.sqrt((diff ** 2).sum(-1)).max()))
+        object.__setattr__(self, "diameter", float(pairwise_distance(pts, pts)[1].max()))
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,13 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0 and self.fy > 0):
             raise InvalidInput("focal lengths must be strictly positive")
+
+
+def pairwise_distance(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(..., M, D) and (..., N, D) points -> the displacements a_i - b_j,
+    (..., M, N, D), and their Euclidean lengths, (..., M, N)."""
+    disp = a[..., :, None, :] - b[..., None, :, :]
+    return disp, np.linalg.norm(disp, axis=-1)
 
 
 def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:
@@ -125,9 +131,7 @@ def add_metric(model: Model3D, pred: Pose, gt: Pose) -> float:
 
 def add_s_metric(model: Model3D, pred: Pose, gt: Pose) -> float:
     """Mean closest-point distance; the symmetric-object variant of ADD."""
-    p = pred.apply(model.points)
-    g = gt.apply(model.points)
-    d = np.linalg.norm(p[:, None, :] - g[None, :, :], axis=2)
+    _, d = pairwise_distance(pred.apply(model.points), gt.apply(model.points))
     return float(d.min(axis=1).mean())
 
 

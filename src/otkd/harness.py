@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import DegenerateGeometry, InvalidInput, TrainingDiverged
 from .geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose, add_01d_hit,
-                       pose_errors, project)
+                       pairwise_distance, pose_errors, project)
 from .pfkd import (extract_regions, init_projection, receptive_field_extent,
                    region_loss, scatter_region_grads)
 from .pnp import Correspondences, pnp_solve
-from .regressor import RegressorSpec, ToyRegressor, backbone_columns
+from .regressor import _DT, RegressorSpec, ToyRegressor, backbone_columns
 from .sinkhorn import default_epsilon, sinkhorn_unbalanced_batch
 from .uakd import transport_loss
 from .uncertainty import (aggregate, blend_weights, student_uniform_weights,
@@ -61,7 +61,6 @@ _BOX_DIMS = (0.10, 0.07, 0.05)
 _BLOB_SIGMA = 1.2
 _BLOB_AMPLITUDE = 0.25
 
-_DT = np.float32
 _SOLVE_CAP = 200  # iterations of each per-epoch transport solve
 
 log = logging.getLogger("otkd")
@@ -329,9 +328,7 @@ def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,
 class TotalLossResult:
     loss: float
     parts: dict[str, float]                 # unweighted kpt/pred/feat values
-    gradients: list[np.ndarray]             # aligned with student.parameters()
     projection_gradient: np.ndarray | None
-    plans: np.ndarray | None                # (B, M, N) detached coupling
     potentials: tuple[np.ndarray, np.ndarray] | None
     # the solve's iteration count and whether every instance converged;
     # None when the plans were supplied rather than solved
@@ -351,7 +348,8 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
     terms follow the prediction- and feature-level losses with the coupling
     detached (recomputed here unless `plans` is supplied, never
     differentiated through).  Gradients cover every student parameter plus,
-    when the feature term is active, the channel projection.
+    when the feature term is active, the channel projection; the student's
+    are left on it (`ToyRegressor.gradients`).
     """
     kps, fmaps = student.forward(cols)
     kps64 = np.asarray(kps, dtype=float)
@@ -364,17 +362,14 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
     gp, gf = cfg.gamma_p, cfg.gamma_f
     use_pred = gp > 0 and targets is not None
     use_feat = gf > 0 and targets is not None
-    loss_pred = 0.0
-    loss_feat = 0.0
-    dfeats = None
-    dproj = None
-    potentials = iterations = converged = None
+    loss_pred = loss_feat = 0.0
+    dfeats = dproj = potentials = iterations = converged = None
 
     if use_pred or use_feat:
         mus = targets.predictions
+        disp, dist = pairwise_distance(kps64, mus)
         if plans is None:
             N = mus.shape[1]
-            dist = np.linalg.norm(kps64[:, :, None, :] - mus[:, None, :, :], axis=3)
             if not np.isfinite(dist).all():
                 raise TrainingDiverged("non-finite keypoints reached the transport cost")
             a = np.broadcast_to(student_uniform_weights(M), (B, M))
@@ -385,7 +380,7 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
                 tol=1e-5, f0=f0, g0=g0)
             potentials = (f, g)
         if use_pred:
-            loss_pred, dpred = transport_loss(plans, kps64, mus)
+            loss_pred, dpred = transport_loss(plans, disp, dist)
             dk = dk + gp * dpred
         if use_feat:
             if projection is None:
@@ -408,21 +403,19 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
     return TotalLossResult(loss=loss,
                            parts={"kpt": loss_kpt, "pred": loss_pred,
                                   "feat": loss_feat},
-                           gradients=student.gradients(),
-                           projection_gradient=dproj, plans=plans,
-                           potentials=potentials, iterations=iterations,
-                           converged=converged)
+                           projection_gradient=dproj, potentials=potentials,
+                           iterations=iterations, converged=converged)
 
 
 def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
            targets: DistillTargets | None, cfg: TrainingConfig,
            projection: np.ndarray | None):
     """Plain fixed-step gradient descent; returns (initial, final) loss and the
-    trained projection, and logs how many transport solves hit their cap.
+    trained projection, and logs the final loss parts and the capped solves.
     Raises TrainingDiverged if the final loss does not improve on the first."""
     warm = None
     initial = None
-    solves = capped = 0
+    solves = capped = iters = 0
     for epoch in range(cfg.epochs + 1):
         res = total_loss(student, cols, keypoints_px, targets, cfg,
                          projection=projection, warm_start=warm)
@@ -430,6 +423,7 @@ def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
             warm = res.potentials
             solves += 1
             capped += not res.converged
+            iters += res.iterations
         if epoch == cfg.epochs:  # the final evaluation takes no step
             break
         if initial is None:
@@ -438,9 +432,11 @@ def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
         if res.projection_gradient is not None:
             projection = projection - (cfg.learning_rate
                                        * res.projection_gradient).astype(projection.dtype)
+    line = ", ".join(f"{k} {v:.6g}" for k, v in res.parts.items())
     if solves:
-        log.info("%d of %d transport solves stopped at the %d-iteration cap",
-                 capped, solves, _SOLVE_CAP)
+        line += (f"; {capped} of {solves} transport solves stopped at the "
+                 f"{_SOLVE_CAP}-iteration cap, {iters} iterations in all")
+    log.info("final loss %s", line)
     if not res.loss < initial:
         raise TrainingDiverged(
             f"loss failed to improve: initial {initial!r}, final {res.loss!r}")
@@ -519,7 +515,7 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     """Keypoint error, ADD-0.1d hit rate, and median pose errors from solving
     PnP on the student's predictions.  A scene whose solve degenerates counts
     as a miss with worst-case pose error; that keeps evaluation total even for
-    badly undertrained students."""
+    badly undertrained students.  An unconverged one is scored as it stands."""
     if cfg.num_keypoints < 6:
         raise InvalidInput("pose evaluation needs num_keypoints >= 6")
     x, kps_gt = _stack(eval_scenes)
@@ -528,20 +524,23 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     preds = np.asarray(preds, dtype=float)
     kpt_err = float(np.linalg.norm(preds - kps_gt, axis=2).mean())
 
-    hits, e_rs, e_ts = [], [], []
+    scores = []  # per scene: ADD-0.1d hit, E_R degrees, E_T meters
+    unconverged = degenerate = 0
     for b, scene in enumerate(eval_scenes):
         pts3d = scene.model.points[:cfg.num_keypoints]
         try:
             result = pnp_solve(Correspondences(points2d=KeypointSet(preds[b]),
                                                points3d=pts3d, cam=scene.cam))
-            e_t, e_r, _ = pose_errors(result.pose, scene.gt_pose)
-            hits.append(add_01d_hit(scene.model, result.pose, scene.gt_pose))
-            e_rs.append(e_r)
-            e_ts.append(e_t)
         except DegenerateGeometry:
-            hits.append(False)
-            e_rs.append(180.0)
-            e_ts.append(float("inf"))
+            degenerate += 1
+            scores.append((False, 180.0, float("inf")))
+            continue
+        unconverged += not result.converged
+        e_t, e_r, _ = pose_errors(result.pose, scene.gt_pose)
+        scores.append((add_01d_hit(scene.model, result.pose, scene.gt_pose), e_r, e_t))
+    log.info("%d of %d pose solves stopped unconverged, %d degenerate",
+             unconverged, len(eval_scenes), degenerate)
+    hits, e_rs, e_ts = zip(*scores)
     return {"kpt_err_px": kpt_err,
             "add01d_rate": float(np.mean(hits)),
             "e_r_deg": float(np.median(e_rs)),

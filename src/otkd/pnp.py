@@ -169,9 +169,10 @@ def pnp_solve(c: Correspondences) -> PnpResult:
         # halve the step while it would push a point to nonpositive depth
         scale_step = 1.0
         for _ in range(30):
-            R_new = _project_to_so3(
-                rotation_from_axis_angle(scale_step * step[:3]) @ R)
-            t_new = t + scale_step * step[3:]
+            # the Jacobian perturbs R p + t on the left, so dR turns t too
+            dR = rotation_from_axis_angle(scale_step * step[:3])
+            R_new = _project_to_so3(dR @ R)
+            t_new = dR @ t + scale_step * step[3:]
             if ((p3_a @ R_new.T + t_new)[:, 2] > 0).all():
                 break
             scale_step *= 0.5

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .geometry import KeypointSet
+from .geometry import KeypointSet, pairwise_distance
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class TransportPlan:
 
 def cost_matrix(student: KeypointSet, teacher: KeypointSet) -> np.ndarray:
     """Pairwise Euclidean distances, rows = student points, columns = teacher."""
-    diff = student.points[:, None, :] - teacher.points[None, :, :]
-    return np.sqrt((diff ** 2).sum(-1))
+    return pairwise_distance(student.points, teacher.points)[1]
 
 
 def default_epsilon(cost: np.ndarray):

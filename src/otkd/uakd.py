@@ -15,22 +15,19 @@ import numpy as np
 from .errors import InvalidInput
 
 
-def transport_loss(plans: np.ndarray, student: np.ndarray, teacher: np.ndarray):
+def transport_loss(plans: np.ndarray, disp: np.ndarray, dist: np.ndarray):
     """Plan-weighted keypoint distance, averaged over scenes.
 
-    plans (B, M, N) student-major, student (B, M, 2), teacher (B, N, 2).
-    Per scene, loss = sum_ij pi_ij * |k_s_i - k_t_j|.  Returns the loss and
-    its gradient with respect to the student keypoints, (B, M, 2):
-    sum_j pi_ij * (k_s_i - k_t_j) / max(|k_s_i - k_t_j|, 1e-12), so a
-    coincident pair contributes nothing (minimum-norm subgradient).
+    plans (B, M, N) student-major; disp, dist: the transport cost's
+    `geometry.pairwise_distance` of student and teacher keypoints.  Per scene,
+    loss = sum_ij pi_ij * |k_s_i - k_t_j|.  Returns the loss and its gradient
+    with respect to the student keypoints, (B, M, 2): sum_j pi_ij * (k_s_i -
+    k_t_j) / max(|k_s_i - k_t_j|, 1e-12), so a coincident pair adds nothing.
     """
-    B, M, N = plans.shape
-    if student.shape != (B, M, 2) or teacher.shape != (B, N, 2):
-        raise InvalidInput(f"keypoints {student.shape} and {teacher.shape} "
-                           f"vs plans {plans.shape}")
-    disp = student[:, :, None, :] - teacher[:, None, :, :]     # (B, M, N, 2)
-    dist = np.linalg.norm(disp, axis=3)
+    B = plans.shape[0]
+    if dist.shape != plans.shape or disp.shape != plans.shape + (2,):
+        raise InvalidInput(f"distances {dist.shape} and displacements "
+                           f"{disp.shape} vs plans {plans.shape}")
     loss = float((plans * dist).sum() / B)
     unit = disp / np.maximum(dist, 1e-12)[..., None]
     return loss, (plans[..., None] * unit).sum(axis=2) / B
-

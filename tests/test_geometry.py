@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from otkd.errors import DegenerateGeometry, InvalidInput
 from otkd.geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose,
-                           add_01d_hit, add_metric, add_s_metric, pose_errors,
-                           project, rotation_from_axis_angle)
+                           add_01d_hit, add_metric, add_s_metric,
+                           pairwise_distance, pose_errors, project,
+                           rotation_from_axis_angle)
 
 
 def random_rotation(rng):
@@ -222,6 +223,24 @@ class TestTypes:
     def test_model_diameter_is_largest_point_distance(self):
         pts = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0, 0, 0.1]])
         assert Model3D(pts).diameter == pytest.approx(0.1 * math.sqrt(2), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
+       st.integers(2, 3), st.integers(0, 10_000))
+def test_pairwise_distance_matches_each_pair(B, m, n, dim, seed):
+    # bit for bit: the transport cost, the prediction loss and the model
+    # diameter all read this one function
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-20, 20, (B, m, dim))
+    b = rng.uniform(-20, 20, (B, n, dim))
+    disp, dist = pairwise_distance(a, b)
+    for k in range(B):
+        for i in range(m):
+            for j in range(n):
+                d = a[k, i] - b[k, j]
+                assert np.array_equal(disp[k, i, j], d)
+                assert dist[k, i, j] == np.sqrt((d ** 2).sum())
 
 
 @settings(max_examples=25)

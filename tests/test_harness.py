@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from otkd import harness
-from otkd.errors import InvalidInput, TrainingDiverged
+from otkd.errors import DegenerateGeometry, InvalidInput, TrainingDiverged
+from otkd.geometry import Pose, pairwise_distance
 from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, IN_CHANNELS,
                           NUM_CORNERS, DistillTargets, ExperimentReport,
                           ReportRow, SyntheticScene, TrainingConfig,
@@ -20,6 +21,7 @@ from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, IN_CHANNELS,
                           write_report_csv, write_report_json)
 from otkd.pfkd import (extract_regions, init_projection,
                        receptive_field_extent, scatter_region_grads)
+from otkd.pnp import PnpResult
 from otkd.regressor import ToyRegressor
 from otkd.sinkhorn import sinkhorn_unbalanced_batch
 from test_pfkd import loop_pfkd_loss, padded_window
@@ -305,6 +307,19 @@ def _synthetic_targets(cfg, student, x, rng):
                                     extent, extent)).astype(np.float32))
 
 
+def _solved_plans(student, x, targets, cfg):
+    """(plans, iterations, converged) of the solve `total_loss` makes for the
+    student's current keypoints, by the same call."""
+    kps64 = np.asarray(student.forward(x)[0], dtype=float)
+    B, M = kps64.shape[:2]
+    N = targets.predictions.shape[1]
+    _, dist = pairwise_distance(kps64, targets.predictions)
+    plans, _, _, iterations, converged = sinkhorn_unbalanced_batch(
+        dist, np.full((B, M), 1.0 / M), targets.col_weights / N,
+        0.01 * dist.mean(axis=(1, 2)), cfg.tau, max_iters=200, tol=1e-5)
+    return plans, iterations, converged
+
+
 class TestTotalLoss:
     def test_distill_off_equals_supervised(self):
         cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0)
@@ -315,7 +330,7 @@ class TestTotalLoss:
         r2 = total_loss(s2, x, labels, None, cfg)
         assert r1.loss == r2.loss
         assert r1.parts["pred"] == r1.parts["feat"] == 0.0
-        for g1, g2 in zip(r1.gradients, r2.gradients):
+        for g1, g2 in zip(s1.gradients(), s2.gradients()):
             assert np.array_equal(g1, g2)
 
     def test_student_matching_teacher_mean_has_zero_transfer(self):
@@ -353,7 +368,7 @@ class TestTotalLoss:
         r1 = total_loss(s1, x, labels, blended, cfg)
         r2 = total_loss(s2, x, labels, uniform, cfg)
         assert r1.loss == r2.loss
-        for g1, g2 in zip(r1.gradients, r2.gradients):
+        for g1, g2 in zip(s1.gradients(), s2.gradients()):
             assert np.array_equal(g1, g2)
 
     def test_frozen_plan_reuse_skips_the_solver(self):
@@ -362,7 +377,8 @@ class TestTotalLoss:
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(1))
         res = total_loss(student, x, labels, targets, cfg)
         assert res.potentials is not None
-        res2 = total_loss(student, x, labels, targets, cfg, plans=res.plans)
+        plans, _, _ = _solved_plans(student, x, targets, cfg)
+        res2 = total_loss(student, x, labels, targets, cfg, plans=plans)
         assert res2.potentials is None
         assert res2.parts == res.parts
 
@@ -374,8 +390,9 @@ class TestTotalLoss:
         kps64 = np.asarray(student.forward(x)[0], dtype=float)
         dist = np.linalg.norm(kps64[:, :, None, :]
                               - targets.predictions[:, None, :, :], axis=3)
+        plans, _, _ = _solved_plans(student, x, targets, cfg)
         assert res.parts["pred"] == pytest.approx(
-            (res.plans * dist).sum() / x.shape[0], rel=1e-12)
+            (plans * dist).sum() / x.shape[0], rel=1e-12)
 
     def test_feature_term_matches_region_loss(self):
         cfg = dataclasses.replace(TINY, gamma_f=2.0)
@@ -387,11 +404,12 @@ class TestTotalLoss:
         centers = _region_centers(np.asarray(kps64, dtype=float))
         extent = targets.regions.shape[-1]
         adapted = np.einsum("ct,bntij->bncij", projection, targets.regions)
+        plans, _, _ = _solved_plans(student, x, targets, cfg)
         per_scene = []
         for b in range(x.shape[0]):
             s = np.stack([padded_window(fmaps[b], c, extent) for c in centers[b]])
             per_scene.append(loop_pfkd_loss(adapted[b].astype(float),
-                                            s.astype(float), res.plans[b]))
+                                            s.astype(float), plans[b]))
         assert res.parts["feat"] == pytest.approx(np.mean(per_scene), rel=1e-9)
 
     def test_reports_solver_state(self):
@@ -399,18 +417,11 @@ class TestTotalLoss:
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(7))
         res = total_loss(student, x, labels, targets, cfg)
-        kps64 = np.asarray(student.forward(x)[0], dtype=float)
-        B, M = kps64.shape[:2]
-        N = targets.predictions.shape[1]
-        dist = np.linalg.norm(kps64[:, :, None, :]
-                              - targets.predictions[:, None, :, :], axis=3)
-        plans, _, _, iterations, converged = sinkhorn_unbalanced_batch(
-            dist, np.full((B, M), 1.0 / M), targets.col_weights / N,
-            0.01 * dist.mean(axis=(1, 2)), cfg.tau, max_iters=200, tol=1e-5)
+        plans, iterations, converged = _solved_plans(student, x, targets, cfg)
         assert (res.iterations, res.converged) == (iterations, converged)
-        np.testing.assert_array_equal(res.plans, plans)
-        frozen = total_loss(student, x, labels, targets, cfg, plans=res.plans)
+        frozen = total_loss(student, x, labels, targets, cfg, plans=plans)
         assert frozen.iterations is None and frozen.converged is None
+        assert frozen.parts == res.parts
 
     def test_nonfinite_keypoints_raise_divergence(self):
         cfg = dataclasses.replace(TINY, gamma_f=0.0)
@@ -441,8 +452,8 @@ class TestTotalLoss:
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(6))
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
         res = total_loss(student, x, labels, targets, cfg, projection=projection)
-        plans = res.plans
-        analytic = np.concatenate([g.ravel() for g in res.gradients])
+        analytic = np.concatenate([g.ravel() for g in student.gradients()])
+        plans, _, _ = _solved_plans(student, x, targets, cfg)
 
         def loss_now():
             return total_loss(student, x, labels, targets, cfg,
@@ -508,15 +519,21 @@ class TestTrainLoop:
 
         def solver(*args, **kwargs):
             plans, f, g, iterations, _ = sinkhorn_unbalanced_batch(*args, **kwargs)
-            calls.append(None)
+            calls.append(iterations)
             return plans, f, g, iterations, len(calls) % 2 == 0
 
         monkeypatch.setattr(harness, "sinkhorn_unbalanced_batch", solver)
         with caplog.at_level(logging.INFO, logger="otkd"):
             _train(student, x, labels, targets, cfg, None)
-            _train(student, x, labels, None, cfg, None)  # no transport, no line
-        assert caplog.messages == [
-            "2 of 4 transport solves stopped at the 200-iteration cap"]
+            _train(student, x, labels, None, cfg, None)  # no transport
+        final = total_loss(student, x, labels, None, cfg)
+        assert len(calls) == 4
+        assert caplog.messages[0].startswith("final loss kpt ")
+        assert caplog.messages[0].endswith(
+            ", feat 0; 2 of 4 transport solves stopped at the 200-iteration "
+            f"cap, {sum(calls)} iterations in all")
+        # the supervised run logs the parts of its last evaluation
+        assert caplog.messages[1] == f"final loss kpt {final.parts['kpt']:.6g}, pred 0, feat 0"
 
     def test_nokd_equals_uniform_with_zero_gammas(self, tiny_teachers):
         base = dataclasses.replace(TINY, epochs=25)
@@ -580,6 +597,29 @@ class TestExperiment:
                                np.random.default_rng(0))
         with pytest.raises(InvalidInput, match="num_keypoints >= 6"):
             evaluate_student(student, cfg, make_scenes(2, np.random.default_rng(0)))
+
+    def test_unconverged_and_degenerate_solves_are_logged(self, monkeypatch, caplog):
+        # the second solve degenerates, every other one stops unconverged
+        student = ToyRegressor(_spec(TINY, TINY.student_channels, TINY.num_keypoints),
+                               np.random.default_rng(0))
+        calls = []
+
+        def solver(c):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DegenerateGeometry("probe")
+            return PnpResult(pose=Pose(np.eye(3), np.array([0.0, 0.0, 0.5])),
+                             reprojection_rms=0.0, converged=len(calls) % 2 == 0,
+                             iterations=1)
+
+        monkeypatch.setattr(harness, "pnp_solve", solver)
+        with caplog.at_level(logging.INFO, logger="otkd"):
+            metrics = evaluate_student(student, TINY,
+                                       make_scenes(5, np.random.default_rng(0)))
+        assert caplog.messages == [
+            "3 of 5 pose solves stopped unconverged, 1 degenerate"]
+        # unconverged poses are scored as they stand, a degenerate one as a miss
+        assert np.isfinite(metrics["e_t_m"])
 
     def test_corruption_separation_logic(self):
         rep = ExperimentReport(

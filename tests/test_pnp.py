@@ -96,6 +96,21 @@ class TestNoise:
         assert 0.1 < res.reprojection_rms < 3.0
 
 
+class TestConvergence:
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_gauss_newton_converges_in_few_steps(self, noise):
+        # a step that matches its Jacobian needs at most 9 iterations here;
+        # turning R but not t by the increment needs up to 18 at 0.5 px
+        iterations = []
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            pose = random_pose(rng)
+            res = pnp_solve(make_correspondences(rng, pose, noise=noise))
+            assert res.converged, f"seed {seed}"
+            iterations.append(res.iterations)
+        assert max(iterations) <= 15
+
+
 class TestWeights:
     def test_zero_weight_equals_dropped_point(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,18 @@
-"""Every function, class and method the library defines is used somewhere in
-the system: the library itself or the benchmark.  A name that only tests
-reach is dead code; wire it in or delete it.
+"""Everything the library defines is used somewhere in the system: the library
+itself or the benchmark.  A name that only tests reach is dead code; wire it
+in or delete it.
 
-A use is a `Name` or `Attribute` node or an import of the name; strings and
-comments do not count, and neither does the definition itself.
+Two checks:
+
+* every top-level function and class and every non-dunder method is used:
+  a `Name` or `Attribute` node or an import of the name;
+* every dataclass field is read: an `Attribute` load of its name that is not
+  a method call, or a call of `fields`, `astuple` or `asdict` (as
+  `dataclasses.fields(...)` or a bare `fields(...)`) on the class's name,
+  which reads all of its fields at once.  Constructor keywords, stores and
+  the class body do not count.
+
+Strings and comments do not count, and neither does the definition itself.
 """
 import ast
 from pathlib import Path
@@ -11,6 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "otkd").glob("*.py"))
 SYSTEM = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
+_WHOLE_READS = {"fields", "astuple", "asdict"}
 
 
 def _definitions():
@@ -28,6 +38,27 @@ def _definitions():
                         yield f"{path.stem}:{node.name}.{item.name}", item.name
 
 
+def _bare_name(node):
+    """`f` for a `Name` f or an `Attribute` x.f."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(_bare_name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+               for dec in node.decorator_list)
+
+
+def _fields():
+    """(module:class.field, class name, field name) of every dataclass field."""
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        name = item.target.id
+                        yield f"{path.stem}:{node.name}.{name}", node.name, name
+
+
 def _uses():
     names = set()
     for path in SYSTEM:
@@ -41,7 +72,32 @@ def _uses():
     return names
 
 
+def _reads():
+    """(attribute names read other than as a method call, names of the
+    classes whose fields are read all at once)."""
+    attrs, whole = set(), set()
+    for path in SYSTEM:
+        tree = ast.parse(path.read_text())
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        methods = {id(call.func) for call in calls}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in methods):
+                attrs.add(node.attr)
+        for call in calls:
+            if _bare_name(call.func) in _WHOLE_READS:
+                whole.update(arg.id for arg in call.args if isinstance(arg, ast.Name))
+    return attrs, whole
+
+
 def test_every_definition_is_reached():
     used = _uses()
     unreached = [label for label, name in _definitions() if name not in used]
     assert unreached == []
+
+
+def test_every_dataclass_field_is_read():
+    attrs, whole = _reads()
+    unread = [label for label, cls, name in _fields()
+              if name not in attrs and cls not in whole]
+    assert unread == []

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkd.errors import InvalidInput
-from otkd.geometry import KeypointSet
-from otkd.sinkhorn import SinkhornConfig, cost_matrix, sinkhorn_unbalanced
+from otkd.geometry import pairwise_distance
+from otkd.sinkhorn import SinkhornConfig, sinkhorn_unbalanced
 from otkd.uakd import transport_loss
 
 CFG = SinkhornConfig(epsilon=0.05, tau=10.0)
@@ -17,10 +17,11 @@ def kp(*pts):
 
 def scene_loss(student, teacher, alpha_s, alpha_t, cfg=CFG):
     """One scene's (loss, plan, student gradient): the Euclidean cost's
-    `sinkhorn_unbalanced` plan, then `transport_loss` at B = 1."""
-    cost = cost_matrix(KeypointSet(student), KeypointSet(teacher))
-    plan = sinkhorn_unbalanced(cost, alpha_s, alpha_t, cfg).entries
-    loss, grad = transport_loss(plan[None], student[None], teacher[None])
+    `sinkhorn_unbalanced` plan, then `transport_loss` at B = 1 on the same
+    displacements and distances."""
+    disp, dist = pairwise_distance(student[None], teacher[None])
+    plan = sinkhorn_unbalanced(dist[0], alpha_s, alpha_t, cfg).entries
+    loss, grad = transport_loss(plan[None], disp, dist)
     return loss, plan, grad[0]
 
 
@@ -176,7 +177,7 @@ def test_transport_loss_matches_scene_loop(B, m, n, seed):
     t = rng.uniform(0, 20, (B, n, 2))
     t[0, 0] = s[0, 0]  # a coincident pair contributes no pull
     P = rng.uniform(0, 1, (B, m, n))
-    loss, grad = transport_loss(P, s, t)
+    loss, grad = transport_loss(P, *pairwise_distance(s, t))
     refs = [loop_transport_loss(P[b], s[b], t[b]) for b in range(B)]
     assert loss == pytest.approx(np.mean([r[0] for r in refs]), rel=1e-12)
     np.testing.assert_allclose(grad, np.stack([r[1] for r in refs]) / B,
@@ -185,4 +186,5 @@ def test_transport_loss_matches_scene_loop(B, m, n, seed):
 
 def test_transport_loss_rejects_shapes():
     with pytest.raises(InvalidInput, match="vs plans"):
-        transport_loss(np.zeros((2, 3, 4)), np.zeros((2, 3, 2)), np.zeros((2, 3, 2)))
+        transport_loss(np.zeros((2, 3, 4)), *pairwise_distance(np.zeros((2, 3, 2)),
+                                                               np.zeros((2, 3, 2))))
