@@ -515,7 +515,9 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     """Keypoint error, ADD-0.1d hit rate, and median pose errors from solving
     PnP on the student's predictions.  A scene whose solve degenerates counts
     as a miss with worst-case pose error; that keeps evaluation total even for
-    badly undertrained students.  An unconverged one is scored as it stands."""
+    badly undertrained students.  An unconverged one is scored as it stands,
+    and so is a converged one that reprojects worse than the image size; both
+    are counted in the log."""
     if cfg.num_keypoints < 6:
         raise InvalidInput("pose evaluation needs num_keypoints >= 6")
     x, kps_gt = _stack(eval_scenes)
@@ -525,7 +527,7 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     kpt_err = float(np.linalg.norm(preds - kps_gt, axis=2).mean())
 
     scores = []  # per scene: ADD-0.1d hit, E_R degrees, E_T meters
-    unconverged = degenerate = 0
+    unconverged = degenerate = off_image = 0
     for b, scene in enumerate(eval_scenes):
         pts3d = scene.model.points[:cfg.num_keypoints]
         try:
@@ -536,10 +538,12 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
             scores.append((False, 180.0, float("inf")))
             continue
         unconverged += not result.converged
+        off_image += result.converged and result.reprojection_rms > IMAGE_SIZE
         e_t, e_r, _ = pose_errors(result.pose, scene.gt_pose)
         scores.append((add_01d_hit(scene.model, result.pose, scene.gt_pose), e_r, e_t))
-    log.info("%d of %d pose solves stopped unconverged, %d degenerate",
-             unconverged, len(eval_scenes), degenerate)
+    log.info("%d of %d pose solves stopped unconverged, %d degenerate, "
+             "%d converged at a reprojection RMS above %g px",
+             unconverged, len(eval_scenes), degenerate, off_image, IMAGE_SIZE)
     hits, e_rs, e_ts = zip(*scores)
     return {"kpt_err_px": kpt_err,
             "add01d_rate": float(np.mean(hits)),

@@ -4,14 +4,17 @@ The solver minimizes
 
     <pi, C> + eps * KL(pi || a x b) + tau * KL(pi @ 1 || a) + tau * KL(pi^T @ 1 || b)
 
-by log-domain Sinkhorn iteration.  Both marginals are KL-relaxed with the same
+by Sinkhorn iteration.  Both marginals are KL-relaxed with the same
 strength ``tau``; ``tau = math.inf`` gives the exact balanced limit.  Rows are
 the student-side points, columns the teacher side.
 
-One loop, `_iterate`, serves both solvers for any number of leading axes.
-The single solver drops zero-weight rows and columns before iterating; the
-batched one keeps them with -inf potentials from its cold start on, hence
-exactly-zero plan entries and the single solver's iterates on the rest.
+The single solver runs the log-domain loop, `_iterate`, and is the
+reference: it drops zero-weight rows and columns before iterating.  The
+batched one iterates the same updates in the scaling domain (`_iterate_scaled`,
+matmuls instead of log-sum-exps), with log-domain absorption, and gives the
+log loop's iterates up to float64 rounding.  It keeps zero-weight rows and
+columns with -inf potentials from its cold start on, hence exactly-zero plan
+entries and the single solver's iterates on the rest.
 """
 from __future__ import annotations
 
@@ -124,6 +127,59 @@ def _iterate(C, la, lb, eps, tau, f, g, max_iters, tol):
     return f, g, max_iters, False
 
 
+# bound on |log u| and |log v| between absorptions; with it, the scaled
+# updates keep the log loop's iterates to float64 rounding
+_SCALING_RANGE = 50.0
+
+
+def _iterate_scaled(C, la, lb, eps, tau, f, g, max_iters, tol):
+    """`_iterate` in the scaling domain (Chizat, Peyre, Schmitzer & Vialard
+    2018) with log-domain absorption (Schmitzer 2019), for costs (B, M, N),
+    log-marginals and potentials shaped (B, M, 1) and (B, 1, N), and eps
+    (B, 1, 1).
+
+    The potentials are f = F + eps log u and g = G + eps log v, where F and G
+    are absorbed potentials that stay fixed while the scalings u and v are
+    updated by matmuls with the kernel exp((F + G - C) / eps):
+
+        u = (a / K v)^(tau / (tau + eps)) * exp((tau / (tau + eps) - 1) F / eps)
+
+    and v likewise.  An absorption takes its iteration as one `_iterate` step
+    and rebuilds the kernel around the result: the first iteration, and every
+    one whose log-scalings leave +-_SCALING_RANGE or whose K v underflows.
+    The stopping rule is `_iterate`'s: eps |delta log u| is its |delta f|.
+    Zero-weight rows and columns (-inf log-marginals) keep -inf potentials
+    and log-scalings of 0.  Returns (f, g, iterations, converged)."""
+    fi = 1.0 if math.isinf(tau) else tau / (tau + eps)
+    scale = eps / np.min(eps)
+    # an empty row's kernel row is zero; adding 1 to its K v keeps log u at 0
+    empty_rows = np.isneginf(la).astype(float)
+    empty_cols = np.isneginf(lb).astype(float)
+    it, converged = 0, False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while not converged and it < max_iters:
+            f, g, _, converged = _iterate(C, la, lb, eps, tau, f, g, 1, tol)
+            it += 1
+            K = np.exp((f + g - C) / eps)
+            cu = np.where(empty_rows, 0.0, fi * la + (fi - 1) * f / eps)
+            cv = np.where(empty_cols, 0.0, fi * lb + (fi - 1) * g / eps)
+            lu, lv = np.zeros_like(f), np.zeros_like(g)
+            while not converged and it < max_iters:
+                v = np.exp(lv).transpose(0, 2, 1)
+                lu_new = cu - fi * np.log(K @ v + empty_rows)
+                u = np.exp(lu_new).transpose(0, 2, 1)
+                lv_new = cv - fi * np.log(u @ K + empty_cols)
+                if not (np.abs(lu_new).max() <= _SCALING_RANGE
+                        and np.abs(lv_new).max() <= _SCALING_RANGE):
+                    break  # the next absorption takes this iteration
+                it += 1
+                converged = max((np.abs(lu_new - lu) * scale).max(),
+                                (np.abs(lv_new - lv) * scale).max()) < tol
+                lu, lv = lu_new, lv_new
+            f, g = f + eps * lu, g + eps * lv
+    return f, g, it, converged
+
+
 def sinkhorn_unbalanced(cost: np.ndarray, alpha_s, alpha_t,
                         cfg: SinkhornConfig | None = None) -> TransportPlan:
     """Solve for the transport plan; zero-weight rows/columns carry zero mass.
@@ -182,8 +238,10 @@ def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
                               g0: np.ndarray | None = None):
     """Solve a stack of independent instances in one vectorized loop.
 
-    The loop of :func:`sinkhorn_unbalanced`, without annealing (pass warm
-    starts instead) and with one ``tol`` check across the stack.  Exists
+    The iterates of :func:`sinkhorn_unbalanced`'s log-domain loop, up to
+    float64 rounding, computed in the scaling domain with log-domain
+    absorption (`_iterate_scaled`); without annealing (pass warm starts
+    instead) and with one ``tol`` check across the stack.  Exists
     because per-epoch re-solves in the training harness are thousands of tiny
     problems: looping Python-side dominates the runtime, one vectorized loop
     does not.
@@ -205,6 +263,6 @@ def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
     # a cold start puts empty support at -inf at once, as if it were dropped
     f = np.where(a > 0, 0.0, -np.inf)[:, :, None] if f0 is None else f0.reshape(B, M, 1)
     g = np.where(b > 0, 0.0, -np.inf)[:, None, :] if g0 is None else g0.reshape(B, 1, N)
-    f, g, it, converged = _iterate(C, la, lb, eps, tau, f, g, max_iters, tol)
+    f, g, it, converged = _iterate_scaled(C, la, lb, eps, tau, f, g, max_iters, tol)
     P = np.exp((f + g - C) / eps)
     return P, f[:, :, 0], g[:, 0, :], it, converged

@@ -2,9 +2,11 @@
 
 `bench/layers.py` wraps program functions by the names they are looked up
 under, and `bench/crosscheck.py` hooks the log-sum-exp helper that runs twice
-per Sinkhorn iteration of either solver.  A rename that the benchmark does
-not follow is reported there as an absent layer and reads 0, so these tests
-import the benchmark's own files, unchanged, and fail instead.
+per log-domain Sinkhorn iteration: every iteration of the single solver, and
+each absorption step of the batched one, whose other iterations run in the
+scaling domain.  A rename that the benchmark does not follow is reported
+there as an absent layer and reads 0, so these tests import the benchmark's
+own files, unchanged, and fail instead.
 """
 import dataclasses
 import importlib
@@ -34,11 +36,20 @@ def test_every_layer_resolves(bench):
     assert absent == []
 
 
-def test_hooks_count_one_solve(bench):
+def test_hooks_count_one_solve(bench, monkeypatch):
     layers, crosscheck = bench
     cfg = dataclasses.replace(TINY, gamma_f=0.0)
     student, x, labels = _student_and_batch(cfg)
     targets = _synthetic_targets(cfg, student, x, np.random.default_rng(3))
+    log_steps = []
+    iterate = sinkhorn._iterate
+
+    def counted(*args):
+        out = iterate(*args)
+        log_steps.append(out[2])
+        return out
+
+    monkeypatch.setattr(sinkhorn, "_iterate", counted)
     tracer = layers.Tracer()
     hook = layers.Tracer((crosscheck.HALF_ITERATION,))
     with tracer, hook:
@@ -48,7 +59,9 @@ def test_hooks_count_one_solve(bench):
     assert batch.calls == 1
     assert batch.counts == {"iters": res.iterations,
                             "unconverged": int(not res.converged)}
-    assert hook.stats["sinkhorn.lse"].calls == 2 * res.iterations
+    # the hook counts the batch's log-domain (absorption) steps only
+    assert 0 < sum(log_steps) < res.iterations
+    assert hook.stats["sinkhorn.lse"].calls == 2 * sum(log_steps)
     # the conv counters read Conv2d.forward's result and backward's gradient
     # argument; a signature they no longer fit would zero regressor.conv.gflop
     assert "regressor.conv" not in tracer.broken_counters

@@ -25,6 +25,7 @@ from otkd.pnp import PnpResult
 from otkd.regressor import ToyRegressor
 from otkd.sinkhorn import sinkhorn_unbalanced_batch
 from test_pfkd import loop_pfkd_loss, padded_window
+from test_sinkhorn import log_domain_batch
 
 # small enough that the module's ensemble builds in a couple of seconds
 TINY = TrainingConfig(ensemble_size=2, teacher_epochs=30, teacher_scenes=8,
@@ -535,6 +536,29 @@ class TestTrainLoop:
         # the supervised run logs the parts of its last evaluation
         assert caplog.messages[1] == f"final loss kpt {final.parts['kpt']:.6g}, pred 0, feat 0"
 
+    def test_training_cannot_tell_the_solve_from_the_log_domain_loop(
+            self, monkeypatch, tiny_teachers):
+        # the batched solve keeps the log-domain loop's iterates to float64
+        # rounding, below what float32 training can see; a plan change it
+        # can see would reshuffle the report rows
+        cfg = _condition_config("UAKD+PFKD", dataclasses.replace(TINY, epochs=30))
+        runs = []
+        for solver in (sinkhorn_unbalanced_batch, log_domain_batch):
+            iterations = []
+
+            def recorded(*args, solver=solver, iterations=iterations, **kwargs):
+                out = solver(*args, **kwargs)
+                iterations.append(out[3])
+                return out
+
+            monkeypatch.setattr(harness, "sinkhorn_unbalanced_batch", recorded)
+            student, _ = _train_one_seed(cfg, 3, tiny_teachers, True)
+            runs.append((iterations,
+                         [p.tobytes() for p in student.parameters()]))
+        assert len(runs[0][0]) == cfg.epochs + 1  # warm-started solves
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+
     def test_nokd_equals_uniform_with_zero_gammas(self, tiny_teachers):
         base = dataclasses.replace(TINY, epochs=25)
         zeroed = dataclasses.replace(base, gamma_p=0.0, gamma_f=0.0)
@@ -599,25 +623,30 @@ class TestExperiment:
             evaluate_student(student, cfg, make_scenes(2, np.random.default_rng(0)))
 
     def test_unconverged_and_degenerate_solves_are_logged(self, monkeypatch, caplog):
-        # the second solve degenerates, every other one stops unconverged
+        # per solve: None degenerates, else (converged, reprojection RMS);
+        # the last converges to a pose that reprojects far off the image
+        stubs = [(False, 0.0), None, (False, 0.0), (True, 0.0), (False, 0.0),
+                 (True, 1.9e9)]
         student = ToyRegressor(_spec(TINY, TINY.student_channels, TINY.num_keypoints),
                                np.random.default_rng(0))
         calls = []
 
         def solver(c):
+            stub = stubs[len(calls)]
             calls.append(None)
-            if len(calls) == 2:
+            if stub is None:
                 raise DegenerateGeometry("probe")
             return PnpResult(pose=Pose(np.eye(3), np.array([0.0, 0.0, 0.5])),
-                             reprojection_rms=0.0, converged=len(calls) % 2 == 0,
+                             reprojection_rms=stub[1], converged=stub[0],
                              iterations=1)
 
         monkeypatch.setattr(harness, "pnp_solve", solver)
         with caplog.at_level(logging.INFO, logger="otkd"):
             metrics = evaluate_student(student, TINY,
-                                       make_scenes(5, np.random.default_rng(0)))
+                                       make_scenes(6, np.random.default_rng(0)))
         assert caplog.messages == [
-            "3 of 5 pose solves stopped unconverged, 1 degenerate"]
+            "3 of 6 pose solves stopped unconverged, 1 degenerate, "
+            "1 converged at a reprojection RMS above 64 px"]
         # unconverged poses are scored as they stand, a degenerate one as a miss
         assert np.isfinite(metrics["e_t_m"])
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from otkd.errors import InvalidInput
 from otkd.geometry import KeypointSet
-from otkd.sinkhorn import (SinkhornConfig, cost_matrix, default_config,
-                           plan_residuals, sinkhorn_unbalanced,
+from otkd.sinkhorn import (SinkhornConfig, _iterate, cost_matrix,
+                           default_config, plan_residuals, sinkhorn_unbalanced,
                            sinkhorn_unbalanced_batch)
 
 
@@ -27,6 +27,24 @@ def lp_transport_cost(cost, a, b):
                   bounds=(0, None), method="highs")
     assert res.status == 0
     return res.fun
+
+
+def log_domain_batch(costs, alpha_s, alpha_t, epsilon, tau, max_iters=1000,
+                     tol=1e-6, f0=None, g0=None):
+    """`sinkhorn_unbalanced_batch` run by the log-domain loop, `_iterate`:
+    the reference whose iterates the scaling-domain solve must keep."""
+    C = np.asarray(costs, dtype=float)
+    B, M, N = C.shape
+    a = np.asarray(alpha_s, dtype=float).reshape(B, M)
+    b = np.asarray(alpha_t, dtype=float).reshape(B, N)
+    eps = np.broadcast_to(np.asarray(epsilon, dtype=float).reshape(-1, 1, 1), (B, 1, 1))
+    with np.errstate(divide="ignore"):
+        la = np.log(a)[:, :, None]
+        lb = np.log(b)[:, None, :]
+    f = np.where(a > 0, 0.0, -np.inf)[:, :, None] if f0 is None else f0.reshape(B, M, 1)
+    g = np.where(b > 0, 0.0, -np.inf)[:, None, :] if g0 is None else g0.reshape(B, 1, N)
+    f, g, it, converged = _iterate(C, la, lb, eps, tau, f, g, max_iters, tol)
+    return np.exp((f + g - C) / eps), f[:, :, 0], g[:, 0, :], it, converged
 
 
 def balanced(cost, a, b, epsilon, **kw):
@@ -222,6 +240,48 @@ class TestMechanics:
             np.testing.assert_allclose(plans[k], single.entries, rtol=0, atol=1e-12)
             assert (plans[k][a[k] == 0] == 0.0).all()
             assert (plans[k][:, b[k] == 0] == 0.0).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 8),
+           st.booleans(), st.floats(1.0, 1000.0), st.floats(0.0, 3.0),
+           st.booleans(), st.booleans(), st.integers(0, 10_000))
+    def test_scaling_domain_keeps_log_domain_iterates(
+            self, B, M, N, balanced, span, imbalance, far_row, warm, seed):
+        # under the harness's rule (tol 1e-5, cap 200): costs up to `span`
+        # epsilons, so exp(-C/eps) underflows; marginal totals up to 1e3
+        # apart, so the potentials drift by hundreds of epsilons and the
+        # scalings must be absorbed again mid-solve; a row far from every
+        # column; zero-weight rows and columns; cold starts, and warm starts
+        # from perturbed converged potentials
+        rng = np.random.default_rng(seed)
+        eps = rng.uniform(0.01, 0.1, B)
+        costs = rng.uniform(0.0, span, (B, M, N)) * eps[:, None, None]
+        a = rng.uniform(0.05, 1.0, (B, M))
+        b = rng.uniform(0.05, 1.0, (B, N)) * 10.0 ** -imbalance
+        for k in range(B):
+            if far_row:
+                costs[k, rng.integers(M)] = rng.uniform(800.0, 1000.0, N) * eps[k]
+            if M > 1 and rng.random() < 0.4:
+                a[k, rng.integers(M)] = 0.0
+            if N > 1 and rng.random() < 0.4:
+                b[k, rng.integers(N)] = 0.0
+        tau = math.inf if balanced else float(rng.uniform(0.5, 50.0))
+        f0 = g0 = None
+        if warm:
+            _, f, g, _, _ = log_domain_batch(costs, a, b, eps, tau, tol=1e-5)
+            f0 = f + eps[:, None] * rng.normal(0.0, 1.0, f.shape)
+            g0 = g + eps[:, None] * rng.normal(0.0, 1.0, g.shape)
+        ref = log_domain_batch(costs, a, b, eps, tau, max_iters=200, tol=1e-5,
+                               f0=f0, g0=g0)
+        out = sinkhorn_unbalanced_batch(costs, a, b, eps, tau, max_iters=200,
+                                        tol=1e-5, f0=f0, g0=g0)
+        assert out[3:] == ref[3:]  # iterations and converged
+        np.testing.assert_allclose(out[0], ref[0], rtol=0, atol=1e-12)
+        empty_rows, empty_cols = a == 0, b == 0
+        assert (out[0][empty_rows] == 0.0).all()
+        assert (out[0].transpose(0, 2, 1)[empty_cols] == 0.0).all()
+        assert np.array_equal(np.isneginf(out[1]), empty_rows)
+        assert np.array_equal(np.isneginf(out[2]), empty_cols)
 
     def test_batch_zero_column_exact(self):
         rng = np.random.default_rng(10)
