@@ -43,18 +43,23 @@ EXIT_NUMERIC = 2
 # parsing helpers
 
 
-def _read_matrix(path: str) -> np.ndarray:
-    """Numeric CSV -> 2D array; errors name the offending line."""
-    rows = []
-    width = None
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """(line number from 1, text) of each line that is not blank once its
+    `#` comment is stripped; an unreadable file is InvalidInput."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InvalidInput(f"{path}: {exc.strerror or exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    bodies = ((lineno, line.split("#", 1)[0].strip())
+              for lineno, line in enumerate(text.splitlines(), start=1))
+    return [(lineno, body) for lineno, body in bodies if body]
+
+
+def _read_matrix(path: str) -> np.ndarray:
+    """Numeric CSV -> 2D array; errors name the offending line."""
+    rows = []
+    width = None
+    for lineno, body in _read_lines(path):
         try:
             row = [float(tok) for tok in body.replace(",", " ").split()]
         except ValueError as exc:
@@ -83,14 +88,7 @@ def _parse_config_file(path: str) -> dict:
     """key=value lines -> dict of raw string values; unknown keys are the
     caller's problem (it knows the schema)."""
     out = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidInput(f"{path}: {exc.strerror or exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+    for lineno, body in _read_lines(path):
         if "=" not in body:
             raise InvalidInput(f"{path}: line {lineno}: expected key=value")
         key, _, value = body.partition("=")

@@ -84,17 +84,13 @@ def default_camera() -> CameraIntrinsics:
 
 
 @dataclass(frozen=True, eq=False)
-class SyntheticScene:
-    model: Model3D
-    gt_pose: Pose
-    cam: CameraIntrinsics
-    gt_keypoints: np.ndarray   # (NUM_CORNERS, 2) pixel coordinates
-    encoding: np.ndarray       # (IN_CHANNELS, GRID, GRID) float32
-
-    def __post_init__(self):
-        reproj = project(self.model, self.gt_pose, self.cam).points
-        if not np.allclose(reproj, self.gt_keypoints, atol=1e-6):
-            raise InvalidInput("gt_keypoints do not match the projected model")
+class Scenes:
+    """A batch of box scenes in front of the default camera.  `cols` are the
+    backbone columns of the scenes' float32 (IN_CHANNELS, GRID, GRID)
+    encodings, built once for every net and epoch that reads the batch."""
+    cols: np.ndarray
+    keypoints: np.ndarray  # (B, NUM_CORNERS, 2) pixel coordinates
+    poses: list[Pose]      # ground truth, one per scene
 
 
 def sample_pose(rng: np.random.Generator) -> Pose:
@@ -125,26 +121,24 @@ def _encode(kps: np.ndarray, depths: np.ndarray) -> np.ndarray:
     return np.stack(chans + [coord_r, coord_c]).astype(_DT)
 
 
-def make_scene(rng: np.random.Generator) -> SyntheticScene:
-    """The box in front of the default camera at a pose drawn from `rng`."""
+def make_scenes(count: int, rng: np.random.Generator) -> Scenes:
+    """`count` scenes of the box at poses drawn from `rng`."""
     model, cam = box_model(), default_camera()
-    pose = sample_pose(rng)
-    kps = project(model, pose, cam).points
-    depths = pose.apply(model.points)[:, 2]
-    return SyntheticScene(model=model, gt_pose=pose, cam=cam,
-                          gt_keypoints=kps, encoding=_encode(kps, depths))
+    poses, kps, encodings = [], [], []
+    for _ in range(count):
+        pose = sample_pose(rng)
+        k = project(model, pose, cam).points
+        poses.append(pose)
+        kps.append(k)
+        encodings.append(_encode(k, pose.apply(model.points)[:, 2]))
+    return Scenes(cols=backbone_columns(np.stack(encodings)),
+                  keypoints=np.stack(kps), poses=poses)
 
 
-def make_scenes(count: int, rng: np.random.Generator) -> list[SyntheticScene]:
-    return [make_scene(rng) for _ in range(count)]
-
-
-def _stack(scenes: list[SyntheticScene]) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's backbone columns, built once for every net and epoch that
-    reads the batch, and its (B, NUM_CORNERS, 2) keypoints."""
-    cols = backbone_columns(np.stack([s.encoding for s in scenes]))
-    k = np.stack([s.gt_keypoints for s in scenes])
-    return cols, k
+def _held_out_scenes(cfg: TrainingConfig) -> Scenes:
+    """The split that scores teachers and students; it depends on cfg.seed
+    alone, so every row and condition shares it."""
+    return make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
 
 
 # --------------------------------------------------------------------------
@@ -257,9 +251,7 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     TrainingDiverged if any member misses cfg.teacher_error_threshold_px on
     held-out scenes."""
     scenes = make_scenes(cfg.teacher_scenes, np.random.default_rng(2024 + cfg.seed))
-    held_out = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
-    x, kps = _stack(scenes)
-    xh, kh = _stack(held_out)
+    held_out = _held_out_scenes(cfg)
     spec = _spec(cfg, cfg.teacher_channels, NUM_CORNERS)
     sup = dataclasses.replace(cfg, gamma_p=0.0, gamma_f=0.0,
                               num_keypoints=NUM_CORNERS, epochs=cfg.teacher_epochs)
@@ -267,9 +259,9 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     for e in range(cfg.ensemble_size):
         member_seed = 10_000 + 97 * e + cfg.seed
         net = ToyRegressor(spec, np.random.default_rng(member_seed))
-        _train(net, x, kps, None, sup, None)
-        pred, _ = net.forward(xh)
-        err = float(np.linalg.norm(pred - kh, axis=2).mean())
+        _train(net, scenes.cols, scenes.keypoints, None, sup, None)
+        pred, _ = net.forward(held_out.cols)
+        err = float(np.linalg.norm(pred - held_out.keypoints, axis=2).mean())
         if not err <= cfg.teacher_error_threshold_px:  # a NaN error fails too
             raise TrainingDiverged(
                 f"teacher seed {member_seed}: held-out error {err:.2f}px "
@@ -282,7 +274,7 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
 def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,
                     cfg: TrainingConfig,
                     corrupt_rng: np.random.Generator | None = None) -> DistillTargets:
-    """Runs the frozen ensemble on a scene batch (`_stack`'s columns) and
+    """Runs the frozen ensemble on a scene batch (`Scenes.cols`) and
     aggregates predictions, blended weights, and mean feature regions.  When
     `corrupt_rng` is given, one member's predictions for the configured
     keypoint subset get large added noise before aggregation (the regions
@@ -329,27 +321,26 @@ class TotalLossResult:
     loss: float
     parts: dict[str, float]                 # unweighted kpt/pred/feat values
     projection_gradient: np.ndarray | None
+    # the solve's potentials, iteration count and whether every instance
+    # converged; None when no transfer term is on
     potentials: tuple[np.ndarray, np.ndarray] | None
-    # the solve's iteration count and whether every instance converged;
-    # None when the plans were supplied rather than solved
-    iterations: int | None = None
-    converged: bool | None = None
+    iterations: int | None
+    converged: bool | None
 
 
 def total_loss(student: ToyRegressor, cols: np.ndarray,
                keypoints_px: np.ndarray, targets: DistillTargets | None,
                cfg: TrainingConfig, projection: np.ndarray | None = None,
-               plans: np.ndarray | None = None,
                warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> TotalLossResult:
     """One objective evaluation with manual backpropagation on a scene batch
-    (`_stack`'s columns).
+    (`Scenes.cols`).
 
     L_kpt is mean squared pixel error against `keypoints_px`; the transfer
     terms follow the prediction- and feature-level losses with the coupling
-    detached (recomputed here unless `plans` is supplied, never
-    differentiated through).  Gradients cover every student parameter plus,
-    when the feature term is active, the channel projection; the student's
-    are left on it (`ToyRegressor.gradients`).
+    detached (solved here from `warm_start`, never differentiated through).
+    Gradients cover every student parameter plus, when the feature term is
+    active, the channel projection; the student's are left on it
+    (`ToyRegressor.gradients`).
     """
     kps, fmaps = student.forward(cols)
     kps64 = np.asarray(kps, dtype=float)
@@ -368,17 +359,15 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
     if use_pred or use_feat:
         mus = targets.predictions
         disp, dist = pairwise_distance(kps64, mus)
-        if plans is None:
-            N = mus.shape[1]
-            if not np.isfinite(dist).all():
-                raise TrainingDiverged("non-finite keypoints reached the transport cost")
-            a = np.broadcast_to(student_uniform_weights(M), (B, M))
-            b = targets.col_weights / N
-            f0, g0 = warm_start if warm_start is not None else (None, None)
-            plans, f, g, iterations, converged = sinkhorn_unbalanced_batch(
-                dist, a, b, default_epsilon(dist), cfg.tau, max_iters=_SOLVE_CAP,
-                tol=1e-5, f0=f0, g0=g0)
-            potentials = (f, g)
+        if not np.isfinite(dist).all():
+            raise TrainingDiverged("non-finite keypoints reached the transport cost")
+        a = np.broadcast_to(student_uniform_weights(M), (B, M))
+        b = targets.col_weights / mus.shape[1]
+        f0, g0 = warm_start if warm_start is not None else (None, None)
+        plans, f, g, iterations, converged = sinkhorn_unbalanced_batch(
+            dist, a, b, default_epsilon(dist), cfg.tau, max_iters=_SOLVE_CAP,
+            tol=1e-5, f0=f0, g0=g0)
+        potentials = (f, g)
         if use_pred:
             loss_pred, dpred = transport_loss(plans, disp, dist)
             dk = dk + gp * dpred
@@ -410,9 +399,9 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
 def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
            targets: DistillTargets | None, cfg: TrainingConfig,
            projection: np.ndarray | None):
-    """Plain fixed-step gradient descent; returns (initial, final) loss and the
-    trained projection, and logs the final loss parts and the capped solves.
-    Raises TrainingDiverged if the final loss does not improve on the first."""
+    """Plain fixed-step gradient descent on a scene batch (`Scenes.cols`);
+    logs the final loss parts and the capped solves.  Raises TrainingDiverged
+    if the final loss does not improve on the first."""
     warm = None
     initial = None
     solves = capped = iters = 0
@@ -440,7 +429,6 @@ def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
     if not res.loss < initial:
         raise TrainingDiverged(
             f"loss failed to improve: initial {initial!r}, final {res.loss!r}")
-    return initial, res.loss, projection
 
 
 # --------------------------------------------------------------------------
@@ -489,8 +477,7 @@ def _train_one_seed(cfg: TrainingConfig, seed: int,
     returns (student, per-keypoint mean u or None)."""
     rng = np.random.default_rng(seed)
     scenes = make_scenes(cfg.train_scenes, rng)
-    x, kps = _stack(scenes)
-    kps = kps[:, :cfg.num_keypoints]
+    kps = scenes.keypoints[:, :cfg.num_keypoints]
     labels = kps + rng.normal(0.0, cfg.label_noise_px, kps.shape)
 
     u_mean = None
@@ -498,7 +485,7 @@ def _train_one_seed(cfg: TrainingConfig, seed: int,
     projection = None
     if cfg.gamma_p > 0 or cfg.gamma_f > 0:
         corrupt_rng = np.random.default_rng(seed + 77) if corrupt_teacher else None
-        targets = prepare_targets(teachers, x, cfg, corrupt_rng)
+        targets = prepare_targets(teachers, scenes.cols, cfg, corrupt_rng)
         u_mean = targets.uncertainty.mean(axis=0)
         if cfg.gamma_f > 0:
             projection = init_projection(cfg.student_channels,
@@ -506,12 +493,12 @@ def _train_one_seed(cfg: TrainingConfig, seed: int,
 
     student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
                            np.random.default_rng(seed + 1000))
-    _train(student, x, labels, targets, cfg, projection)
+    _train(student, scenes.cols, labels, targets, cfg, projection)
     return student, u_mean
 
 
 def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
-                     eval_scenes: list[SyntheticScene]) -> dict[str, float]:
+                     scenes: Scenes) -> dict[str, float]:
     """Keypoint error, ADD-0.1d hit rate, and median pose errors from solving
     PnP on the student's predictions.  A scene whose solve degenerates counts
     as a miss with worst-case pose error; that keeps evaluation total even for
@@ -520,30 +507,30 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     are counted in the log."""
     if cfg.num_keypoints < 6:
         raise InvalidInput("pose evaluation needs num_keypoints >= 6")
-    x, kps_gt = _stack(eval_scenes)
-    kps_gt = kps_gt[:, :cfg.num_keypoints]
-    preds, _ = student.forward(x)
+    kps_gt = scenes.keypoints[:, :cfg.num_keypoints]
+    preds, _ = student.forward(scenes.cols)
     preds = np.asarray(preds, dtype=float)
     kpt_err = float(np.linalg.norm(preds - kps_gt, axis=2).mean())
 
+    model, cam = box_model(), default_camera()
+    pts3d = model.points[:cfg.num_keypoints]
     scores = []  # per scene: ADD-0.1d hit, E_R degrees, E_T meters
     unconverged = degenerate = off_image = 0
-    for b, scene in enumerate(eval_scenes):
-        pts3d = scene.model.points[:cfg.num_keypoints]
+    for pred, gt_pose in zip(preds, scenes.poses):
         try:
-            result = pnp_solve(Correspondences(points2d=KeypointSet(preds[b]),
-                                               points3d=pts3d, cam=scene.cam))
+            result = pnp_solve(Correspondences(points2d=KeypointSet(pred),
+                                               points3d=pts3d, cam=cam))
         except DegenerateGeometry:
             degenerate += 1
             scores.append((False, 180.0, float("inf")))
             continue
         unconverged += not result.converged
         off_image += result.converged and result.reprojection_rms > IMAGE_SIZE
-        e_t, e_r, _ = pose_errors(result.pose, scene.gt_pose)
-        scores.append((add_01d_hit(scene.model, result.pose, scene.gt_pose), e_r, e_t))
+        e_t, e_r, _ = pose_errors(result.pose, gt_pose)
+        scores.append((add_01d_hit(model, result.pose, gt_pose), e_r, e_t))
     log.info("%d of %d pose solves stopped unconverged, %d degenerate, "
              "%d converged at a reprojection RMS above %g px",
-             unconverged, len(eval_scenes), degenerate, off_image, IMAGE_SIZE)
+             unconverged, len(scores), degenerate, off_image, IMAGE_SIZE)
     hits, e_rs, e_ts = zip(*scores)
     return {"kpt_err_px": kpt_err,
             "add01d_rate": float(np.mean(hits)),
@@ -563,14 +550,12 @@ def run_experiment(condition: str, cfg: TrainingConfig,
     draw.
     """
     eff = _condition_config(condition, cfg)
-    eval_scenes = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
-
     rows = []
     uncertainty = {}
     for seed in seeds:
         start = time.perf_counter()
         student, u_mean = _train_one_seed(eff, seed, teachers, corrupt_teacher)
-        metrics = evaluate_student(student, cfg, eval_scenes)
+        metrics = evaluate_student(student, cfg, _held_out_scenes(cfg))
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
         rows.append(ReportRow(condition=condition, seed=seed,
                               epochs=cfg.epochs, wall_ms=wall_ms, **metrics))

@@ -24,7 +24,7 @@ from otkd.sinkhorn import (SinkhornConfig, plan_residuals,
                            sinkhorn_unbalanced)
 from otkd.uakd import transport_loss
 from otkd.uncertainty import blend_weights
-from test_harness import _solved_plans, _student_and_batch, _synthetic_targets
+from test_harness import _student_and_batch, _synthetic_targets, record_solves
 from test_pfkd import simulated_extent
 from test_sinkhorn import lp_transport_cost
 
@@ -142,7 +142,7 @@ def _region_loss_fd_error(rng) -> float:
     return float(np.linalg.norm(fd - grad) / np.linalg.norm(fd))
 
 
-def test_criterion_4_gradient_fidelity():
+def test_criterion_4_gradient_fidelity(monkeypatch):
     rng = np.random.default_rng(44)
     worst_pred = max(_transport_loss_fd_error(rng) for _ in range(10))
     worst_feat = max(_region_loss_fd_error(rng) for _ in range(10))
@@ -153,9 +153,9 @@ def test_criterion_4_gradient_fidelity():
     student, x, labels = _student_and_batch(cfg, scenes=2)
     targets = _synthetic_targets(cfg, student, x, np.random.default_rng(6))
     projection = init_projection(cfg.student_channels, cfg.teacher_channels)
+    record_solves(monkeypatch, freeze=True)  # differences on the first plans
     total_loss(student, x, labels, targets, cfg, projection=projection)
     analytic = np.concatenate([g.ravel() for g in student.gradients()])
-    plans, _, _ = _solved_plans(student, x, targets, cfg)
 
     h = 1e-2        # forward pass is float32; see the gradient-check note
     fd_parts = []
@@ -166,10 +166,10 @@ def test_criterion_4_gradient_fidelity():
             orig = flat[i]
             flat[i] = orig + h
             up = total_loss(student, x, labels, targets, cfg,
-                            projection=projection, plans=plans).loss
+                            projection=projection).loss
             flat[i] = orig - h
             down = total_loss(student, x, labels, targets, cfg,
-                              projection=projection, plans=plans).loss
+                              projection=projection).loss
             flat[i] = orig
             g[i] = (up - down) / (2 * h)
         fd_parts.append(g)

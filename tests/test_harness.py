@@ -9,15 +9,14 @@ import pytest
 
 from otkd import harness
 from otkd.errors import DegenerateGeometry, InvalidInput, TrainingDiverged
-from otkd.geometry import Pose, pairwise_distance
-from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, IN_CHANNELS,
-                          NUM_CORNERS, DistillTargets, ExperimentReport,
-                          ReportRow, SyntheticScene, TrainingConfig,
-                          _condition_config, _region_centers, _stack,
-                          _spec, _train, _train_one_seed,
-                          evaluate_student, make_scene, make_scenes,
+from otkd.geometry import Pose, project
+from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, NUM_CORNERS,
+                          DistillTargets, ExperimentReport, ReportRow,
+                          TrainingConfig, _condition_config, _region_centers,
+                          _spec, _train, _train_one_seed, box_model,
+                          default_camera, evaluate_student, make_scenes,
                           make_teacher_ensemble, prepare_targets,
-                          run_experiment, summarize, total_loss,
+                          run_experiment, total_loss,
                           write_report_csv, write_report_json)
 from otkd.pfkd import (extract_regions, init_projection,
                        receptive_field_extent, scatter_region_grads)
@@ -44,39 +43,31 @@ def tiny_teachers():
 
 class TestScenes:
     def test_shapes_and_projection_invariant(self):
-        scene = make_scene(np.random.default_rng(3))
-        assert scene.encoding.shape == (IN_CHANNELS, GRID, GRID)
-        assert scene.encoding.dtype == np.float32
-        assert scene.gt_keypoints.shape == (NUM_CORNERS, 2)
-        # the dataclass re-checks this on construction; keep it observable
-        from otkd.geometry import project
-        reproj = project(scene.model, scene.gt_pose, scene.cam).points
-        np.testing.assert_allclose(reproj, scene.gt_keypoints, atol=1e-9)
+        scenes = make_scenes(3, np.random.default_rng(3))
+        assert scenes.cols.dtype == np.float32
+        assert scenes.cols.shape[0] == 3
+        assert scenes.keypoints.shape == (3, NUM_CORNERS, 2)
+        assert len(scenes.poses) == 3
+        for kps, pose in zip(scenes.keypoints, scenes.poses):
+            reproj = project(box_model(), pose, default_camera()).points
+            np.testing.assert_allclose(reproj, kps, atol=1e-9)
 
     def test_determinism(self):
-        a = make_scene(np.random.default_rng(11))
-        b = make_scene(np.random.default_rng(11))
-        assert np.array_equal(a.encoding, b.encoding)
-        assert np.array_equal(a.gt_keypoints, b.gt_keypoints)
-        c = make_scene(np.random.default_rng(12))
-        assert not np.array_equal(a.gt_keypoints, c.gt_keypoints)
+        a = make_scenes(2, np.random.default_rng(11))
+        b = make_scenes(2, np.random.default_rng(11))
+        assert np.array_equal(a.cols, b.cols)
+        assert np.array_equal(a.keypoints, b.keypoints)
+        c = make_scenes(2, np.random.default_rng(12))
+        assert not np.array_equal(a.keypoints, c.keypoints)
 
     def test_keypoints_stay_near_frame(self):
-        scenes = make_scenes(20, np.random.default_rng(0))
-        kps = np.concatenate([s.gt_keypoints for s in scenes])
+        kps = make_scenes(20, np.random.default_rng(0)).keypoints
         # corners may exit the 64px frame by a few pixels at extreme tilts,
         # but never by more than one feature cell
         assert kps.min() > -16.0
         assert kps.max() < 80.0
         inside = (kps >= 0.0) & (kps <= 64.0)
         assert inside.mean() > 0.9
-
-    def test_mismatched_keypoints_rejected(self):
-        s = make_scene(np.random.default_rng(1))
-        with pytest.raises(InvalidInput, match="projected"):
-            SyntheticScene(model=s.model, gt_pose=s.gt_pose, cam=s.cam,
-                           gt_keypoints=s.gt_keypoints + 1.0,
-                           encoding=s.encoding)
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +133,7 @@ class TestConditionConfig:
 
     def test_uniform_ot_weights_are_exactly_one(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, corrupt_noise_px=40.0)
-        x, _ = _stack(make_scenes(3, np.random.default_rng(4)))
+        x = make_scenes(3, np.random.default_rng(4)).cols
 
         def weights(condition):
             eff = _condition_config(condition, cfg)
@@ -220,7 +211,7 @@ class TestTeachers:
                 assert np.array_equal(pa, pb)
 
     def test_members_disagree(self, tiny_teachers):
-        x, _ = _stack(make_scenes(4, np.random.default_rng(9)))
+        x = make_scenes(4, np.random.default_rng(9)).cols
         k0 = np.asarray(tiny_teachers[0].forward(x)[0], dtype=float)
         k1 = np.asarray(tiny_teachers[1].forward(x)[0], dtype=float)
         assert np.linalg.norm(k0 - k1, axis=2).mean() > 0.0
@@ -228,7 +219,7 @@ class TestTeachers:
     def test_single_member_has_zero_uncertainty(self):
         cfg = dataclasses.replace(TINY, ensemble_size=1)
         teachers = make_teacher_ensemble(cfg)
-        x, _ = _stack(make_scenes(3, np.random.default_rng(2)))
+        x = make_scenes(3, np.random.default_rng(2)).cols
         targets = prepare_targets(teachers, x, cfg)
         assert (targets.uncertainty == 0.0).all()
         assert (targets.col_weights == 1.0).all()
@@ -247,7 +238,7 @@ def nan_keypoints(net):
 
 class TestPrepareTargets:
     def test_shapes(self, tiny_teachers):
-        x, _ = _stack(make_scenes(3, np.random.default_rng(4)))
+        x = make_scenes(3, np.random.default_rng(4)).cols
         targets = prepare_targets(tiny_teachers, x, TINY)
         extent = receptive_field_extent(tiny_teachers[0].head_spec())
         assert targets.predictions.shape == (3, NUM_CORNERS, 2)
@@ -261,14 +252,14 @@ class TestPrepareTargets:
     def test_nonfinite_member_is_named(self, tiny_teachers, monkeypatch):
         monkeypatch.setattr(tiny_teachers[1], "forward",
                             nan_keypoints(tiny_teachers[1]))
-        x, _ = _stack(make_scenes(3, np.random.default_rng(4)))
+        x = make_scenes(3, np.random.default_rng(4)).cols
         with pytest.raises(TrainingDiverged, match="teacher member 1 "):
             prepare_targets(tiny_teachers, x, TINY)
 
     def test_corruption_inflates_uncertainty_of_chosen_columns(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, corrupt_noise_px=40.0,
                                   corrupt_keypoints=(1, 6))
-        x, _ = _stack(make_scenes(4, np.random.default_rng(4)))
+        x = make_scenes(4, np.random.default_rng(4)).cols
         clean = prepare_targets(tiny_teachers, x, cfg)
         noisy = prepare_targets(tiny_teachers, x, cfg,
                                 corrupt_rng=np.random.default_rng(0))
@@ -287,8 +278,8 @@ class TestPrepareTargets:
 
 def _student_and_batch(cfg, seed=0, scenes=3):
     rng = np.random.default_rng(seed)
-    x, kps = _stack(make_scenes(scenes, rng))
-    kps = kps[:, :cfg.num_keypoints]
+    batch = make_scenes(scenes, rng)
+    x, kps = batch.cols, batch.keypoints[:, :cfg.num_keypoints]
     labels = kps + rng.normal(0.0, 2.0, kps.shape)
     student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
                            np.random.default_rng(seed + 1))
@@ -308,17 +299,19 @@ def _synthetic_targets(cfg, student, x, rng):
                                     extent, extent)).astype(np.float32))
 
 
-def _solved_plans(student, x, targets, cfg):
-    """(plans, iterations, converged) of the solve `total_loss` makes for the
-    student's current keypoints, by the same call."""
-    kps64 = np.asarray(student.forward(x)[0], dtype=float)
-    B, M = kps64.shape[:2]
-    N = targets.predictions.shape[1]
-    _, dist = pairwise_distance(kps64, targets.predictions)
-    plans, _, _, iterations, converged = sinkhorn_unbalanced_batch(
-        dist, np.full((B, M), 1.0 / M), targets.col_weights / N,
-        0.01 * dist.mean(axis=(1, 2)), cfg.tau, max_iters=200, tol=1e-5)
-    return plans, iterations, converged
+def record_solves(monkeypatch, freeze=False):
+    """The outputs of the solves `total_loss` makes through the harness's
+    seam, in order.  With `freeze`, every solve after the first replays the
+    first's output, so the plans stay fixed while the student moves."""
+    solves = []
+
+    def solver(*args, **kwargs):
+        if not (freeze and solves):
+            solves.append(sinkhorn_unbalanced_batch(*args, **kwargs))
+        return solves[0] if freeze else solves[-1]
+
+    monkeypatch.setattr(harness, "sinkhorn_unbalanced_batch", solver)
+    return solves
 
 
 class TestTotalLoss:
@@ -372,40 +365,31 @@ class TestTotalLoss:
         for g1, g2 in zip(s1.gradients(), s2.gradients()):
             assert np.array_equal(g1, g2)
 
-    def test_frozen_plan_reuse_skips_the_solver(self):
-        cfg = dataclasses.replace(TINY, gamma_f=0.0)
-        student, x, labels = _student_and_batch(cfg)
-        targets = _synthetic_targets(cfg, student, x, np.random.default_rng(1))
-        res = total_loss(student, x, labels, targets, cfg)
-        assert res.potentials is not None
-        plans, _, _ = _solved_plans(student, x, targets, cfg)
-        res2 = total_loss(student, x, labels, targets, cfg, plans=plans)
-        assert res2.potentials is None
-        assert res2.parts == res.parts
-
-    def test_prediction_term_oracle(self):
+    def test_prediction_term_oracle(self, monkeypatch):
         cfg = dataclasses.replace(TINY, gamma_f=0.0)
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(2))
+        solves = record_solves(monkeypatch)
         res = total_loss(student, x, labels, targets, cfg)
         kps64 = np.asarray(student.forward(x)[0], dtype=float)
         dist = np.linalg.norm(kps64[:, :, None, :]
                               - targets.predictions[:, None, :, :], axis=3)
-        plans, _, _ = _solved_plans(student, x, targets, cfg)
+        plans = solves[0][0]
         assert res.parts["pred"] == pytest.approx(
             (plans * dist).sum() / x.shape[0], rel=1e-12)
 
-    def test_feature_term_matches_region_loss(self):
+    def test_feature_term_matches_region_loss(self, monkeypatch):
         cfg = dataclasses.replace(TINY, gamma_f=2.0)
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(4))
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
+        solves = record_solves(monkeypatch)
         res = total_loss(student, x, labels, targets, cfg, projection=projection)
         kps64, fmaps = student.forward(x)
         centers = _region_centers(np.asarray(kps64, dtype=float))
         extent = targets.regions.shape[-1]
         adapted = np.einsum("ct,bntij->bncij", projection, targets.regions)
-        plans, _, _ = _solved_plans(student, x, targets, cfg)
+        plans = solves[0][0]
         per_scene = []
         for b in range(x.shape[0]):
             s = np.stack([padded_window(fmaps[b], c, extent) for c in centers[b]])
@@ -413,16 +397,19 @@ class TestTotalLoss:
                                             s.astype(float), plans[b]))
         assert res.parts["feat"] == pytest.approx(np.mean(per_scene), rel=1e-9)
 
-    def test_reports_solver_state(self):
+    def test_reports_solver_state(self, monkeypatch):
         cfg = dataclasses.replace(TINY, gamma_f=0.0)
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(7))
+        solves = record_solves(monkeypatch)
         res = total_loss(student, x, labels, targets, cfg)
-        plans, iterations, converged = _solved_plans(student, x, targets, cfg)
+        _, f, g, iterations, converged = solves[0]
+        assert res.potentials[0] is f and res.potentials[1] is g
         assert (res.iterations, res.converged) == (iterations, converged)
-        frozen = total_loss(student, x, labels, targets, cfg, plans=plans)
-        assert frozen.iterations is None and frozen.converged is None
-        assert frozen.parts == res.parts
+        supervised = total_loss(student, x, labels, None, cfg)
+        assert len(solves) == 1
+        assert (supervised.potentials, supervised.iterations,
+                supervised.converged) == (None, None, None)
 
     def test_nonfinite_keypoints_raise_divergence(self):
         cfg = dataclasses.replace(TINY, gamma_f=0.0)
@@ -446,19 +433,19 @@ class TestTotalLoss:
         with pytest.raises(TrainingDiverged, match="non-finite"):
             total_loss(student, x, labels, None, cfg)
 
-    def test_full_parameter_gradient_fd(self):
+    def test_full_parameter_gradient_fd(self, monkeypatch):
         cfg = dataclasses.replace(TINY, student_channels=3, teacher_channels=6,
                                   num_keypoints=4, gamma_p=5.0, gamma_f=2.0)
         student, x, labels = _student_and_batch(cfg, scenes=2)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(6))
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
+        record_solves(monkeypatch, freeze=True)
         res = total_loss(student, x, labels, targets, cfg, projection=projection)
         analytic = np.concatenate([g.ravel() for g in student.gradients()])
-        plans, _, _ = _solved_plans(student, x, targets, cfg)
 
-        def loss_now():
+        def loss_now():  # on the first call's plans
             return total_loss(student, x, labels, targets, cfg,
-                              projection=projection, plans=plans).loss
+                              projection=projection).loss
 
         h = 1e-2
         fd = []
@@ -497,9 +484,9 @@ class TestTrainLoop:
     def test_loss_improves(self):
         cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0, epochs=30)
         student, x, labels = _student_and_batch(cfg)
-        initial, final, projection = _train(student, x, labels, None, cfg, None)
-        assert final < initial
-        assert projection is None
+        before = total_loss(student, x, labels, None, cfg).loss
+        _train(student, x, labels, None, cfg, None)
+        assert total_loss(student, x, labels, None, cfg).loss < before
 
     def test_divergence_raises(self):
         # from a random init almost any step improves the (bounded) loss, so

@@ -2,7 +2,7 @@
 itself or the benchmark.  A name that only tests reach is dead code; wire it
 in or delete it.
 
-Two checks:
+Three checks:
 
 * every top-level function and class and every non-dunder method is used:
   a `Name` or `Attribute` node or an import of the name;
@@ -10,7 +10,11 @@ Two checks:
   a method call, or a call of `fields`, `astuple` or `asdict` (as
   `dataclasses.fields(...)` or a bare `fields(...)`) on the class's name,
   which reads all of its fields at once.  Constructor keywords, stores and
-  the class body do not count.
+  the class body do not count;
+* every parameter with a default, of a top-level function or a method, is
+  passed by some call of a callee of that bare name: by keyword, by
+  position, or through `*` or `**`.  `cli.main(argv=)` is exempt: it is
+  the console-script entry point, which the tests call with arguments.
 
 Strings and comments do not count, and neither does the definition itself.
 """
@@ -23,19 +27,22 @@ SYSTEM = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 _WHOLE_READS = {"fields", "astuple", "asdict"}
 
 
+_ENTRY_POINT = {"cli:main(argv=)"}
+
+
 def _definitions():
-    """(module:qualified name, bare name) of every top-level function and
-    class and every non-dunder method."""
+    """(module:qualified name, node, whether a method) of every top-level
+    function and class and every non-dunder method."""
     for path in LIBRARY:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                yield f"{path.stem}:{node.name}", node.name
+                yield f"{path.stem}:{node.name}", node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
                             and not (item.name.startswith("__")
                                      and item.name.endswith("__"))):
-                        yield f"{path.stem}:{node.name}.{item.name}", item.name
+                        yield f"{path.stem}:{node.name}.{item.name}", item, True
 
 
 def _bare_name(node):
@@ -57,6 +64,42 @@ def _fields():
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         name = item.target.id
                         yield f"{path.stem}:{node.name}.{name}", node.name, name
+
+
+def _defaulted_parameters():
+    """(module:qualified name(parameter=), bare name, parameter, position
+    among the caller's positional arguments or None) of every parameter with
+    a default; a method's positions start after `self`."""
+    for label, node, is_method in _definitions():
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = (args.posonlyargs + args.args)[is_method:]
+        defaulted = [(arg, i) for i, arg in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(arg, None) for arg, default
+                      in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        for arg, position in defaulted:
+            yield f"{label}({arg.arg}=)", node.name, arg.arg, position
+
+
+def _passes():
+    """Bare callee name -> list of (keyword names, with None for `**`,
+    positional argument count, whether a `*` argument is passed)."""
+    passes = {}
+    for path in SYSTEM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                passes.setdefault(_bare_name(node.func), []).append(
+                    ({kw.arg for kw in node.keywords}, len(node.args), starred))
+    return passes
+
+
+def _is_passed(calls, parameter, position) -> bool:
+    return any(parameter in keywords or None in keywords
+               or (position is not None and (count > position or starred))
+               for keywords, count, starred in calls)
 
 
 def _uses():
@@ -92,7 +135,7 @@ def _reads():
 
 def test_every_definition_is_reached():
     used = _uses()
-    unreached = [label for label, name in _definitions() if name not in used]
+    unreached = [label for label, node, _ in _definitions() if node.name not in used]
     assert unreached == []
 
 
@@ -101,3 +144,11 @@ def test_every_dataclass_field_is_read():
     unread = [label for label, cls, name in _fields()
               if name not in attrs and cls not in whole]
     assert unread == []
+
+
+def test_every_defaulted_parameter_is_passed():
+    passes = _passes()
+    unpassed = [label for label, name, parameter, position in _defaulted_parameters()
+                if label not in _ENTRY_POINT
+                and not _is_passed(passes.get(name, []), parameter, position)]
+    assert unpassed == []

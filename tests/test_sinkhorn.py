@@ -216,9 +216,10 @@ class TestMechanics:
     @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8),
            st.booleans(), st.integers(0, 10_000))
     def test_batch_agrees_with_single(self, B, M, N, balanced, seed):
-        # one loop behind both entry points: a fixed iteration budget from a
-        # cold start lands on the same iterates, whether zero-weight rows and
-        # columns are dropped (single) or carried at -inf (batch)
+        # the scaling-domain batch keeps the single solver's log-loop
+        # iterates to rounding: a fixed iteration budget from a cold start
+        # lands on the same plans, whether zero-weight rows and columns are
+        # dropped (single) or carried at -inf (batch)
         rng = np.random.default_rng(seed)
         costs = rng.uniform(0.0, 2.0, (B, M, N))
         a = rng.uniform(0.05, 1.0, (B, M))
