@@ -12,9 +12,12 @@ The single solver runs the log-domain loop, `_iterate`, and is the
 reference: it drops zero-weight rows and columns before iterating.  The
 batched one iterates the same updates in the scaling domain (`_iterate_scaled`,
 matmuls instead of log-sum-exps), with log-domain absorption, and gives the
-log loop's iterates up to float64 rounding.  It keeps zero-weight rows and
-columns with -inf potentials from its cold start on, hence exactly-zero plan
-entries and the single solver's iterates on the rest.
+log loop's iterates up to float64 rounding.  It runs its updates in chunks
+and checks the scalings' range and the stopping rule once per chunk, over
+every iterate in it, so it stops on the same iterate as a check after every
+update.  It keeps zero-weight rows and columns with -inf potentials from its
+cold start on, hence exactly-zero plan entries and the single solver's
+iterates on the rest.
 """
 from __future__ import annotations
 
@@ -130,6 +133,9 @@ def _iterate(C, la, lb, eps, tau, f, g, max_iters, tol):
 # bound on |log u| and |log v| between absorptions; with it, the scaled
 # updates keep the log loop's iterates to float64 rounding
 _SCALING_RANGE = 50.0
+# scaled updates run back to back between two checks of the range and the
+# stopping rule; the iterates after the first that fails either are dropped
+_CHUNK = 8
 
 
 def _iterate_scaled(C, la, lb, eps, tau, f, g, max_iters, tol):
@@ -148,13 +154,29 @@ def _iterate_scaled(C, la, lb, eps, tau, f, g, max_iters, tol):
     and rebuilds the kernel around the result: the first iteration, and every
     one whose log-scalings leave +-_SCALING_RANGE or whose K v underflows.
     The stopping rule is `_iterate`'s: eps |delta log u| is its |delta f|.
-    Zero-weight rows and columns (-inf log-marginals) keep -inf potentials
-    and log-scalings of 0.  Returns (f, g, iterations, converged)."""
+
+    The updates run in chunks of _CHUNK into preallocated buffers, and the
+    range and the stopping rule are checked once per chunk, over all of its
+    iterates at once.  The loop goes on from the first iterate that leaves
+    the range (absorbing the one before it) or converges, and drops the rest
+    of the chunk, so the iterates, their count and the flag are those of a
+    check after every update.  Zero-weight rows and columns (-inf
+    log-marginals) keep -inf potentials and log-scalings of 0.  Returns (f,
+    g, iterations, converged)."""
     fi = 1.0 if math.isinf(tau) else tau / (tau + eps)
-    scale = eps / np.min(eps)
+    B, M, N = C.shape
+    scale = (eps / np.min(eps)).reshape(B, 1)
+    empty_rows, empty_cols = np.isneginf(la), np.isneginf(lb)
     # an empty row's kernel row is zero; adding 1 to its K v keeps log u at 0
-    empty_rows = np.isneginf(la).astype(float)
-    empty_cols = np.isneginf(lb).astype(float)
+    pad_rows = empty_rows.astype(float) if empty_rows.any() else None
+    pad_cols = empty_cols.astype(float) if empty_cols.any() else None
+    # S[j] holds each instance's (log u | log v) after j updates of a chunk
+    S = np.empty((_CHUNK + 1, B, M + N))
+    lu = [S[j, :, :M, None] for j in range(_CHUNK + 1)]
+    lv = [S[j, :, None, M:] for j in range(_CHUNK + 1)]
+    eu, ev = np.empty((B, M, 1)), np.empty((B, 1, N))
+    u, v = eu.transpose(0, 2, 1), ev.transpose(0, 2, 1)
+    Kv, uK = np.empty((B, M, 1)), np.empty((B, 1, N))
     it, converged = 0, False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while not converged and it < max_iters:
@@ -163,20 +185,37 @@ def _iterate_scaled(C, la, lb, eps, tau, f, g, max_iters, tol):
             K = np.exp((f + g - C) / eps)
             cu = np.where(empty_rows, 0.0, fi * la + (fi - 1) * f / eps)
             cv = np.where(empty_cols, 0.0, fi * lb + (fi - 1) * g / eps)
-            lu, lv = np.zeros_like(f), np.zeros_like(g)
+            S[0], last = 0.0, 0
             while not converged and it < max_iters:
-                v = np.exp(lv).transpose(0, 2, 1)
-                lu_new = cu - fi * np.log(K @ v + empty_rows)
-                u = np.exp(lu_new).transpose(0, 2, 1)
-                lv_new = cv - fi * np.log(u @ K + empty_cols)
-                if not (np.abs(lu_new).max() <= _SCALING_RANGE
-                        and np.abs(lv_new).max() <= _SCALING_RANGE):
-                    break  # the next absorption takes this iteration
-                it += 1
-                converged = max((np.abs(lu_new - lu) * scale).max(),
-                                (np.abs(lv_new - lv) * scale).max()) < tol
-                lu, lv = lu_new, lv_new
-            f, g = f + eps * lu, g + eps * lv
+                n = min(_CHUNK, max_iters - it)
+                for j in range(1, n + 1):
+                    np.exp(lv[j - 1], out=ev)
+                    np.matmul(K, v, out=Kv)
+                    if pad_rows is not None:
+                        Kv += pad_rows
+                    np.log(Kv, out=Kv)
+                    Kv *= fi
+                    np.subtract(cu, Kv, out=lu[j])
+                    np.exp(lu[j], out=eu)
+                    np.matmul(u, K, out=uK)
+                    if pad_cols is not None:
+                        uK += pad_cols
+                    np.log(uK, out=uK)
+                    uK *= fi
+                    np.subtract(cv, uK, out=lv[j])
+                steps = S[1:n + 1]
+                in_range = np.abs(steps).max(axis=(1, 2)) <= _SCALING_RANGE
+                change = (np.abs(steps - S[:n]) * scale).max(axis=(1, 2))
+                stop = ~in_range | (change < tol)
+                if stop.any():
+                    j = int(stop.argmax())
+                    converged = bool(in_range[j])
+                    last = j + converged  # else absorption redoes update j + 1
+                    it += last
+                    break
+                it += n
+                S[0] = S[n]
+            f, g = f + eps * lu[last], g + eps * lv[last]
     return f, g, it, converged
 
 
@@ -241,7 +280,8 @@ def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
     The iterates of :func:`sinkhorn_unbalanced`'s log-domain loop, up to
     float64 rounding, computed in the scaling domain with log-domain
     absorption (`_iterate_scaled`); without annealing (pass warm starts
-    instead) and with one ``tol`` check across the stack.  Exists
+    instead) and with one ``tol`` check across the stack, made for a chunk
+    of updates at a time and exact to the iterate.  Exists
     because per-epoch re-solves in the training harness are thousands of tiny
     problems: looping Python-side dominates the runtime, one vectorized loop
     does not.

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkd import sinkhorn
 from otkd.errors import InvalidInput
 from otkd.geometry import KeypointSet
-from otkd.sinkhorn import (SinkhornConfig, _iterate, cost_matrix,
-                           default_config, plan_residuals, sinkhorn_unbalanced,
-                           sinkhorn_unbalanced_batch)
+from otkd.sinkhorn import (_CHUNK, _SCALING_RANGE, SinkhornConfig, _iterate,
+                           cost_matrix, default_config, plan_residuals,
+                           sinkhorn_unbalanced, sinkhorn_unbalanced_batch)
 
 
 def lp_transport_cost(cost, a, b):
@@ -45,6 +46,39 @@ def log_domain_batch(costs, alpha_s, alpha_t, epsilon, tau, max_iters=1000,
     g = np.where(b > 0, 0.0, -np.inf)[:, None, :] if g0 is None else g0.reshape(B, 1, N)
     f, g, it, converged = _iterate(C, la, lb, eps, tau, f, g, max_iters, tol)
     return np.exp((f + g - C) / eps), f[:, :, 0], g[:, 0, :], it, converged
+
+
+def per_update_scaled(C, la, lb, eps, tau, f, g, max_iters, tol):
+    """`sinkhorn._iterate_scaled` with the range and the stopping rule checked
+    after every update: the reference whose iterates its chunked checks must
+    keep bit for bit."""
+    fi = 1.0 if math.isinf(tau) else tau / (tau + eps)
+    scale = eps / np.min(eps)
+    empty_rows = np.isneginf(la).astype(float)
+    empty_cols = np.isneginf(lb).astype(float)
+    it, converged = 0, False
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while not converged and it < max_iters:
+            f, g, _, converged = _iterate(C, la, lb, eps, tau, f, g, 1, tol)
+            it += 1
+            K = np.exp((f + g - C) / eps)
+            cu = np.where(empty_rows, 0.0, fi * la + (fi - 1) * f / eps)
+            cv = np.where(empty_cols, 0.0, fi * lb + (fi - 1) * g / eps)
+            lu, lv = np.zeros_like(f), np.zeros_like(g)
+            while not converged and it < max_iters:
+                v = np.exp(lv).transpose(0, 2, 1)
+                lu_new = cu - fi * np.log(K @ v + empty_rows)
+                u = np.exp(lu_new).transpose(0, 2, 1)
+                lv_new = cv - fi * np.log(u @ K + empty_cols)
+                if not (np.abs(lu_new).max() <= _SCALING_RANGE
+                        and np.abs(lv_new).max() <= _SCALING_RANGE):
+                    break
+                it += 1
+                converged = max((np.abs(lu_new - lu) * scale).max(),
+                                (np.abs(lv_new - lv) * scale).max()) < tol
+                lu, lv = lu_new, lv_new
+            f, g = f + eps * lu, g + eps * lv
+    return f, g, it, converged
 
 
 def balanced(cost, a, b, epsilon, **kw):
@@ -283,6 +317,48 @@ class TestMechanics:
         assert (out[0].transpose(0, 2, 1)[empty_cols] == 0.0).all()
         assert np.array_equal(np.isneginf(out[1]), empty_rows)
         assert np.array_equal(np.isneginf(out[2]), empty_cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 2 * _CHUNK + 1), st.floats(0.0, 6.0), st.booleans(),
+           st.floats(1.0, 1000.0), st.floats(0.0, 3.0), st.booleans(),
+           st.booleans(), st.integers(0, 10_000))
+    def test_chunked_checks_keep_every_iterate(
+            self, B, M, N, cap, log_tol, balanced, span, imbalance, far_row,
+            warm, seed):
+        # caps up to two chunks and one update; tolerances from 1 to 1e-6 and
+        # tau from 0.003 to 50, so that the solve converges fast or slowly;
+        # far rows and marginal imbalance, so that the scalings leave their
+        # range mid-solve: the cap, convergence and a range exit each fall
+        # at every offset in a chunk.  Zero-weight rows and columns; cold
+        # starts, and warm starts near converged potentials
+        rng = np.random.default_rng(seed)
+        eps = rng.uniform(0.01, 0.1, B)
+        costs = rng.uniform(0.0, span, (B, M, N)) * eps[:, None, None]
+        a = rng.uniform(0.05, 1.0, (B, M))
+        b = rng.uniform(0.05, 1.0, (B, N)) * 10.0 ** -imbalance
+        for k in range(B):
+            if far_row:
+                costs[k, rng.integers(M)] = rng.uniform(800.0, 1000.0, N) * eps[k]
+            if M > 1 and rng.random() < 0.4:
+                a[k, rng.integers(M)] = 0.0
+            if N > 1 and rng.random() < 0.4:
+                b[k, rng.integers(N)] = 0.0
+        tau = math.inf if balanced else float(10.0 ** rng.uniform(-2.5, 1.7))
+        f0 = g0 = None
+        if warm:
+            _, f, g, _, _ = log_domain_batch(costs, a, b, eps, tau, tol=1e-5)
+            noise = eps[:, None] * 10.0 ** -rng.uniform(0.0, 3.0)
+            f0 = f + noise * rng.normal(0.0, 1.0, f.shape)
+            g0 = g + noise * rng.normal(0.0, 1.0, g.shape)
+        args = (costs, a, b, eps, tau, cap, 10.0 ** -log_tol, f0, g0)
+        out = sinkhorn_unbalanced_batch(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sinkhorn, "_iterate_scaled", per_update_scaled)
+            ref = sinkhorn_unbalanced_batch(*args)
+        assert out[3:] == ref[3:]  # iterations and converged
+        for got, want in zip(out[:3], ref[:3]):  # plans and potentials
+            assert np.array_equal(got, want)
 
     def test_batch_zero_column_exact(self):
         rng = np.random.default_rng(10)
