@@ -32,6 +32,8 @@ class Correspondences:
         p3 = np.asarray(self.points3d, dtype=float)
         if p3.ndim != 2 or p3.shape[1] != 3:
             raise InvalidInput(f"points3d must be (N, 3), got {p3.shape}")
+        if not np.isfinite(p3).all():
+            raise InvalidInput("points3d must be finite")
         if p3.shape[0] != len(self.points2d):
             raise InvalidInput(
                 f"{len(self.points2d)} 2D points vs {p3.shape[0]} 3D points")
@@ -40,6 +42,8 @@ class Correspondences:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (p3.shape[0],):
                 raise InvalidInput("weights length mismatch")
+            if not np.isfinite(w).all():
+                raise InvalidInput("weights must be finite")
             if not (w >= 0).all():
                 raise InvalidInput("weights must be >= 0")
             object.__setattr__(self, "weights", w)

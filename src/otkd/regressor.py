@@ -16,6 +16,13 @@ the features as a (B, C, G, G) view and takes their gradient in that shape.
 Training is full-batch, so the caller builds a batch's backbone columns once
 (`backbone_columns`) and every net and epoch on that batch reads them.  The
 input is data: the backbone computes only its parameter gradients.
+
+The conv moves data without changing a byte that its arithmetic sees.  One
+builder, `im2col`, writes the shifted slices of the unpadded input into a
+zero-bordered array, which each 3x3 head layer keeps as its workspace across
+epochs; the input gradient scatters the column gradient `dy @ weight` back
+tap by tap.  Every matmul and sum keeps its operands' layout, because the
+summation order of numpy and BLAS follows it.
 """
 from __future__ import annotations
 
@@ -27,27 +34,38 @@ from .pfkd import ConvLayerSpec
 
 _DT = np.float32
 _BACKBONE_KERNEL = 3
+_BLOCK = 8  # scenes per block of the column build and the gradient scatter
 
 
-def im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(B, H, W, C) -> (B, Ho, Wo, C*k*k) patch matrix for stride-1 conv,
-    columns in (c, di, dj) order; a 1x1 kernel's columns are `x` itself."""
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    B, H, W, C = x.shape
-    Ho, Wo = H - k + 1, W - k + 1
-    s = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (B, Ho, Wo, C, k, k), (s[0], s[1], s[2], s[3], s[1], s[2]))
-    return win.reshape(B, Ho, Wo, C * k * k)
+def im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Writes the stride-1, same-padded patches of (B, H, W, C) `x` into
+    `out`, a (B, H, W, C, k, k) array with a zero border, and returns `out`
+    as (B, H, W, C*k*k) columns in (c, di, dj) order.
+
+    Tap (di, dj) of cell (i, j) is x[i + di - pad, j + dj - pad].  Where that
+    falls outside `x` lies the border, which is never written: so `out` can
+    be refilled for every input of its shape and stays zero there.  Each
+    block of `_BLOCK` scenes is written tap by tap while it is in cache."""
+    B, H, W, C, k, _ = out.shape
+    pad = (k - 1) // 2
+    for b in range(0, B, _BLOCK):
+        src, dst = x[b:b + _BLOCK], out[b:b + _BLOCK]
+        for di in range(k):
+            r0, r1 = max(0, pad - di), min(H, H + pad - di)
+            for dj in range(k):
+                c0, c1 = max(0, pad - dj), min(W, W + pad - dj)
+                dst[:, r0:r1, c0:c1, :, di, dj] = src[
+                    :, r0 + di - pad:r1 + di - pad, c0 + dj - pad:c1 + dj - pad]
+    return out.reshape(B, H, W, C * k * k)
 
 
 def backbone_columns(x: np.ndarray) -> np.ndarray:
     """(B, C_in, G, G) network inputs -> the float32 columns that
     `ToyRegressor.forward` takes.  Every backbone has the same kernel, so one
     build serves every net and every epoch on the same batch."""
-    x = np.moveaxis(x, 1, -1).astype(_DT)
-    return im2col(x, _BACKBONE_KERNEL, (_BACKBONE_KERNEL - 1) // 2)
+    x = np.moveaxis(x, 1, -1)
+    k = _BACKBONE_KERNEL
+    return im2col(x, np.zeros((*x.shape, k, k), _DT))
 
 
 class Conv2d:
@@ -62,14 +80,26 @@ class Conv2d:
         self.bias = np.zeros(c_out, _DT)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
+        self._work = None
         self._cols = None
 
     def spec(self) -> ConvLayerSpec:
         return ConvLayerSpec(kernel=self.kernel, stride=1)
 
     def columns(self, x: np.ndarray) -> np.ndarray:
-        """(B, H, W, C_in) input -> the columns `forward` takes."""
-        return im2col(x, self.kernel, self.pad)
+        """(B, H, W, C_in) input -> the columns `forward` takes.
+
+        A 1x1 layer's columns are `x` itself.  A larger kernel's are built in
+        the layer's workspace, allocated zeroed on the first call and again
+        only when the input's shape changes.  So the columns stay valid until
+        this layer's next `columns` call; `forward` keeps them for
+        `backward`."""
+        if self.kernel == 1:
+            return x
+        k = self.kernel
+        if self._work is None or self._work.shape[:4] != x.shape:
+            self._work = np.zeros((*x.shape, k, k), x.dtype)
+        return im2col(x, self._work)
 
     def forward(self, cols: np.ndarray) -> np.ndarray:
         """(B, H, W, C_in*k*k) columns -> (B, H, W, C_out) output."""
@@ -78,7 +108,13 @@ class Conv2d:
 
     def backward(self, dy: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
         """dy: (B, H, W, C_out).  Sets the parameter gradients and returns the
-        (B, H, W, C_in) input gradient, or None when `input_grad` is False."""
+        (B, H, W, C_in) input gradient, or None when `input_grad` is False.
+
+        The input gradient scatters the column gradient `dy @ weight` onto
+        the padded input, adding its taps in (di, dj) order, a block of
+        `_BLOCK` scenes at a time so that its strided reads stay in cache.
+        A product per tap would give contiguous slabs, but numpy runs it as a
+        gemv when C_in or B*H*W is 1, which rounds unlike this gemm."""
         B, Ho, Wo, c_out = dy.shape
         dyf = dy.reshape(-1, c_out)
         self.grad_weight = dyf.T @ self._cols.reshape(-1, self._cols.shape[-1])
@@ -88,9 +124,11 @@ class Conv2d:
         k, pad = self.kernel, self.pad
         dcols = (dyf @ self.weight).reshape(B, Ho, Wo, self.c_in, k, k)
         dxp = np.zeros((B, Ho + 2 * pad, Wo + 2 * pad, self.c_in), dy.dtype)
-        for di in range(k):
-            for dj in range(k):
-                dxp[:, di:di + Ho, dj:dj + Wo] += dcols[:, :, :, :, di, dj]
+        for b in range(0, B, _BLOCK):
+            src, dst = dcols[b:b + _BLOCK], dxp[b:b + _BLOCK]
+            for di in range(k):
+                for dj in range(k):
+                    dst[:, di:di + Ho, dj:dj + Wo] += src[:, :, :, :, di, dj]
         return dxp[:, pad:Ho + pad, pad:Wo + pad] if pad else dxp
 
 
@@ -147,7 +185,10 @@ class ToyRegressor:
         scores = self.head[1].forward(self.head[1].columns(a)).transpose(0, 3, 1, 2)
         B, M, g, _ = scores.shape
         logits = (self.spec.softmax_beta * scores).reshape(B, M, -1)
-        logits -= logits.max(axis=2, keepdims=True)
+        # a max is exact, so take it from a contiguous copy; exp, the sum and
+        # the division stay on the strided layout, whose summation order
+        # numpy follows
+        logits -= np.ascontiguousarray(logits).max(axis=2, keepdims=True)
         e = np.exp(logits)
         prob = e / e.sum(axis=2, keepdims=True)
         col = prob @ self._cols

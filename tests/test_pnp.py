@@ -191,6 +191,27 @@ class TestDegenerate:
                             CAM, weights=np.array([1, 1, 1, 1, 1, -1.0]))
 
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_points3d(self, bad):
+        # an inf or NaN coordinate used to escape pnp_solve as numpy's
+        # LinAlgError from the DLT's SVD
+        rng = np.random.default_rng(13)
+        c = make_correspondences(rng, random_pose(rng))
+        p3 = c.points3d.copy()
+        p3[2, 1] = bad
+        with pytest.raises(InvalidInput, match="points3d must be finite"):
+            Correspondences(c.points2d, p3, CAM)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_weights(self, bad):
+        # +inf passes a `>= 0` check and used to surface as an overflow
+        w = np.ones(6)
+        w[3] = bad
+        with pytest.raises(InvalidInput, match="weights must be finite"):
+            Correspondences(KeypointSet(np.zeros((6, 2))), np.zeros((6, 3)),
+                            CAM, weights=w)
+
+
 class TestReprojectionRms:
     def test_zero_at_true_pose(self):
         rng = np.random.default_rng(10)

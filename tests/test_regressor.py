@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkd import harness
 from otkd.pfkd import receptive_field_extent
-from otkd.regressor import (Conv2d, RegressorSpec, ToyRegressor,
+from otkd.regressor import (_BLOCK, Conv2d, RegressorSpec, ToyRegressor,
                             backbone_columns, im2col)
 
 SPEC = RegressorSpec(in_channels=4, channels=3, num_keypoints=2, grid=8,
@@ -36,16 +39,63 @@ def correlate(x, conv):
     return out
 
 
+def im2col_reference(x, k):
+    """The column build without a workspace: pad, then copy the k*k windows
+    out of a 6-D strided view of the padded input."""
+    pad = (k - 1) // 2
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    B, H, W, C = x.shape
+    Ho, Wo = H - k + 1, W - k + 1
+    s = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (B, Ho, Wo, C, k, k), (s[0], s[1], s[2], s[3], s[1], s[2]))
+    return win.reshape(B, Ho, Wo, C * k * k)
+
+
+def input_grad_reference(conv, dy):
+    """The input gradient as col2im: `dy @ weight` scattered onto the padded
+    input tap by tap, in (di, dj) order, over the whole batch at once."""
+    B, Ho, Wo, c_out = dy.shape
+    k, pad = conv.kernel, conv.pad
+    dcols = (dy.reshape(-1, c_out) @ conv.weight).reshape(B, Ho, Wo, conv.c_in, k, k)
+    dxp = np.zeros((B, Ho + 2 * pad, Wo + 2 * pad, conv.c_in), dy.dtype)
+    for di in range(k):
+        for dj in range(k):
+            dxp[:, di:di + Ho, dj:dj + Wo] += dcols[:, :, :, :, di, dj]
+    return dxp[:, pad:Ho + pad, pad:Wo + pad] if pad else dxp
+
+
+def awkward(rng, shape, dtype=np.float32):
+    """Normal draws with about a third of the entries replaced by float32
+    subnormals, +0.0 and -0.0."""
+    x = rng.normal(size=shape).astype(dtype)
+    pick = rng.integers(0, 8, size=shape)
+    x[pick == 1] = (rng.uniform(-1.0, 1.0, size=shape) * 1e-39)[pick == 1]
+    x[pick == 2] = 0.0
+    x[pick == 3] = -0.0
+    return x
+
+
 conv_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
                         st.sampled_from((1, 3)), st.integers(1, 6),
                         st.integers(1, 6), st.integers(0, 10_000))
+
+
+# batches that end on, before and after every block boundary, maps of 1-6
+# cells a side and the 16-cell grid, kernels with and without a border
+exact_shapes = st.tuples(st.integers(1, 2 * _BLOCK + 1),
+                         st.integers(1, 6) | st.just(16),
+                         st.integers(1, 6) | st.just(16),
+                         st.integers(1, 13), st.integers(1, 13),
+                         st.sampled_from((1, 3)), st.integers(0, 2**32 - 1))
 
 
 class TestIm2col:
     def test_matches_naive_window_gather(self):
         rng = np.random.default_rng(0)
         x = nhwc(rng.normal(size=(2, 3, 5, 5)))
-        cols = im2col(x, 3, 1)
+        cols = im2col(x, np.zeros((2, 5, 5, 3, 3, 3)))
         assert cols.shape == (2, 5, 5, 27)
         padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         # window at output (2, 3) spans padded rows 2..4, cols 3..5, in
@@ -56,7 +106,7 @@ class TestIm2col:
     def test_kernel_one_is_channel_vector(self):
         rng = np.random.default_rng(1)
         x = nhwc(rng.normal(size=(1, 4, 3, 3)))
-        cols = im2col(x, 1, 0)
+        cols = Conv2d(4, 2, 1, rng).columns(x)
         np.testing.assert_array_equal(cols[0, 1, 2], x[0, 1, 2, :])
         # a 1x1 kernel's columns are its input, not a copy
         assert np.shares_memory(cols, x)
@@ -66,7 +116,46 @@ class TestIm2col:
         cols = backbone_columns(x)
         assert cols.dtype == np.float32
         np.testing.assert_array_equal(
-            cols, im2col(nhwc(x).astype(np.float32), 3, 1))
+            cols, im2col_reference(nhwc(x).astype(np.float32), 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_shapes)
+    def test_columns_are_the_reference_bytes(self, shape):
+        # signed zeros and subnormals included: a copy may not touch a bit
+        B, H, W, c_in, c_out, k, seed = shape
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, k, rng)
+        x = awkward(rng, (B, H, W, c_in))
+        assert conv.columns(x).tobytes() == im2col_reference(x, k).tobytes()
+        # a refill of the kept workspace is as good as the first build
+        y = awkward(rng, (B, H, W, c_in))
+        assert conv.columns(y).tobytes() == im2col_reference(y, k).tobytes()
+        # the backbone's build from a channels-first float64 batch
+        z = awkward(rng, (B, c_in, H, W), np.float64)
+        assert backbone_columns(z).tobytes() == im2col_reference(
+            nhwc(z).astype(np.float32), 3).tobytes()
+
+    def test_workspace_follows_the_input_shape(self):
+        rng = np.random.default_rng(3)
+        conv = Conv2d(3, 2, 3, rng)
+        first, again = awkward(rng, (2, 5, 5, 3)), awkward(rng, (2, 5, 5, 3))
+        other = awkward(rng, (_BLOCK + 1, 4, 6, 3))
+        a = conv.columns(first)
+        assert a.tobytes() == im2col_reference(first, 3).tobytes()
+        # the same shape refills the same workspace
+        assert np.shares_memory(conv.columns(again), a)
+        # a new shape, then the first shape again: fresh columns each time
+        b = conv.columns(other)
+        assert not np.shares_memory(b, a)
+        assert b.tobytes() == im2col_reference(other, 3).tobytes()
+        c = conv.columns(first)
+        assert not np.shares_memory(c, b)
+        assert c.tobytes() == im2col_reference(first, 3).tobytes()
+        # the border, where a tap falls outside the input, is zero
+        taps = c.reshape(2, 5, 5, 3, 3, 3)
+        for border in (taps[:, 0, :, :, 0], taps[:, -1, :, :, 2],
+                       taps[:, :, 0, :, :, 0], taps[:, :, -1, :, :, 2]):
+            assert not border.any()
 
 
 class TestConv2d:
@@ -109,6 +198,24 @@ class TestConv2d:
         lhs = float((y.astype(float) * dy).sum())
         rhs = float((x.astype(float) * dx).sum())
         assert lhs == pytest.approx(rhs, rel=1e-4, abs=1e-4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_shapes)
+    def test_input_gradient_is_the_reference_bytes(self, shape):
+        B, H, W, c_in, c_out, k, seed = shape
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, k, rng)
+        x = awkward(rng, (B, H, W, c_in))
+        dy = awkward(rng, (B, H, W, c_out))
+        conv.forward(conv.columns(x))
+        dx = conv.backward(dy)
+        assert dx.tobytes() == input_grad_reference(conv, dy).tobytes()
+        # the kept workspace feeds the weight gradient as a fresh contiguous
+        # build would (with C_in = 1 and W = 1 the reference's columns are a
+        # strided view of its padded input, which numpy multiplies off BLAS)
+        cols = np.ascontiguousarray(im2col_reference(x, k)).reshape(B * H * W, -1)
+        want = dy.reshape(-1, c_out).T @ cols
+        assert conv.grad_weight.tobytes() == want.tobytes()
 
     def test_gradcheck_weights(self):
         rng = np.random.default_rng(3)
@@ -296,3 +403,55 @@ class TestToyRegressor:
         assert once.tobytes() == backbone_columns(x).tobytes()
         assert kept.forward(once)[0].tobytes() == fresh.forward(
             backbone_columns(x))[0].tobytes()
+
+
+class ReferenceConv2d(Conv2d):
+    """`Conv2d` with fresh padded columns and a whole-batch col2im."""
+
+    def columns(self, x):
+        return im2col_reference(x, self.kernel)
+
+    def backward(self, dy, *, input_grad=True):
+        super().backward(dy, input_grad=False)
+        return input_grad_reference(self, dy) if input_grad else None
+
+
+class ReferenceRegressor(ToyRegressor):
+    """`ToyRegressor` on `ReferenceConv2d` layers, taking the logits' max on
+    their strided layout."""
+
+    def __init__(self, spec, rng):
+        super().__init__(spec, rng)
+        for layer in (self.backbone, *self.head):
+            layer.__class__ = ReferenceConv2d
+
+    def forward(self, cols):
+        feats = np.tanh(self.backbone.forward(cols))
+        a = np.tanh(self.head[0].forward(self.head[0].columns(feats)))
+        scores = self.head[1].forward(self.head[1].columns(a)).transpose(0, 3, 1, 2)
+        B, M, g, _ = scores.shape
+        logits = (self.spec.softmax_beta * scores).reshape(B, M, -1)
+        logits -= logits.max(axis=2, keepdims=True)
+        e = np.exp(logits)
+        prob = e / e.sum(axis=2, keepdims=True)
+        kps = np.stack([(prob @ self._cols + 0.5) / self.spec.delta,
+                        (prob @ self._rows + 0.5) / self.spec.delta], axis=2)
+        self._cache = (feats, a, prob)
+        return kps, feats.transpose(0, 3, 1, 2)
+
+
+def test_training_cannot_tell_the_conv_from_its_reference():
+    # teacher size: 24 scenes, 12 channels; a byte the arithmetic sees that
+    # moved would reshuffle the report rows
+    cfg = dataclasses.replace(harness.TrainingConfig(), gamma_p=0.0, gamma_f=0.0,
+                              num_keypoints=harness.NUM_CORNERS, epochs=20)
+    scenes = harness.make_scenes(24, np.random.default_rng(5))
+    spec = harness._spec(cfg, 12, harness.NUM_CORNERS)
+    runs = []
+    for cls in (ReferenceRegressor, ToyRegressor):
+        net = cls(spec, np.random.default_rng(6))
+        harness._train(net, scenes.cols, scenes.keypoints, None, cfg, None)
+        kps, _ = net.forward(scenes.cols)
+        runs.append([p.tobytes() for p in net.parameters()] + [kps.tobytes()])
+    assert type(net.head[0]) is Conv2d
+    assert runs[0] == runs[1]
