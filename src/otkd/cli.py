@@ -27,8 +27,9 @@ import numpy as np
 from . import __version__
 from .errors import InvalidInput, OtkdError
 from .geometry import CameraIntrinsics, KeypointSet
-from .harness import (CONDITIONS, TrainingConfig, make_teacher_ensemble,
-                      run_experiment, write_report_csv, write_report_json)
+from .harness import (CONDITIONS, TrainingConfig, check_pose_evaluation,
+                      make_teacher_ensemble, run_experiment, write_report_csv,
+                      write_report_json)
 from .pnp import Correspondences, pnp_solve
 from .sinkhorn import default_config, plan_residuals, sinkhorn_unbalanced
 
@@ -180,6 +181,7 @@ def cmd_sinkhorn(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg, corrupt, num_seeds = _experiment_settings(args)
+    check_pose_evaluation(cfg)
     seeds = [cfg.seed + i for i in range(num_seeds)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

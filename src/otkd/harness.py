@@ -86,7 +86,7 @@ def default_camera() -> CameraIntrinsics:
 @dataclass(frozen=True, eq=False)
 class Scenes:
     """A batch of box scenes in front of the default camera.  `cols` are the
-    backbone columns of the scenes' float32 (IN_CHANNELS, GRID, GRID)
+    backbone columns of the scenes' float32 (GRID, GRID, IN_CHANNELS)
     encodings, built once for every net and epoch that reads the batch."""
     cols: np.ndarray
     keypoints: np.ndarray  # (B, NUM_CORNERS, 2) pixel coordinates
@@ -118,7 +118,7 @@ def _encode(kps: np.ndarray, depths: np.ndarray) -> np.ndarray:
         chans.append(amp * np.exp(-((gg[None, :] - cxg) ** 2
                                     + (gg[:, None] - cyg) ** 2)
                                   / (2 * _BLOB_SIGMA ** 2)))
-    return np.stack(chans + [coord_r, coord_c]).astype(_DT)
+    return np.stack(chans + [coord_r, coord_c], axis=-1).astype(_DT)
 
 
 def make_scenes(count: int, rng: np.random.Generator) -> Scenes:
@@ -273,7 +273,7 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
 
 def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,
                     cfg: TrainingConfig,
-                    corrupt_rng: np.random.Generator | None = None) -> DistillTargets:
+                    corrupt_rng: np.random.Generator | None) -> DistillTargets:
     """Runs the frozen ensemble on a scene batch (`Scenes.cols`) and
     aggregates predictions, blended weights, and mean feature regions.  When
     `corrupt_rng` is given, one member's predictions for the configured
@@ -330,8 +330,8 @@ class TotalLossResult:
 
 def total_loss(student: ToyRegressor, cols: np.ndarray,
                keypoints_px: np.ndarray, targets: DistillTargets | None,
-               cfg: TrainingConfig, projection: np.ndarray | None = None,
-               warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> TotalLossResult:
+               cfg: TrainingConfig, projection: np.ndarray | None,
+               warm_start: tuple[np.ndarray, np.ndarray] | None) -> TotalLossResult:
     """One objective evaluation with manual backpropagation on a scene batch
     (`Scenes.cols`).
 
@@ -497,6 +497,12 @@ def _train_one_seed(cfg: TrainingConfig, seed: int,
     return student, u_mean
 
 
+def check_pose_evaluation(cfg: TrainingConfig) -> None:
+    """Raises InvalidInput unless PnP can score the student's keypoints."""
+    if cfg.num_keypoints < 6:
+        raise InvalidInput("pose evaluation needs num_keypoints >= 6")
+
+
 def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
                      scenes: Scenes) -> dict[str, float]:
     """Keypoint error, ADD-0.1d hit rate, and median pose errors from solving
@@ -505,8 +511,6 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
     badly undertrained students.  An unconverged one is scored as it stands,
     and so is a converged one that reprojects worse than the image size; both
     are counted in the log."""
-    if cfg.num_keypoints < 6:
-        raise InvalidInput("pose evaluation needs num_keypoints >= 6")
     kps_gt = scenes.keypoints[:, :cfg.num_keypoints]
     preds, _ = student.forward(scenes.cols)
     preds = np.asarray(preds, dtype=float)
@@ -550,6 +554,7 @@ def run_experiment(condition: str, cfg: TrainingConfig,
     draw.
     """
     eff = _condition_config(condition, cfg)
+    check_pose_evaluation(cfg)
     rows = []
     uncertainty = {}
     for seed in seeds:

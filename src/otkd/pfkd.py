@@ -47,12 +47,13 @@ def receptive_field_extent(head: list[ConvLayerSpec]) -> int:
 def extract_regions(fmaps: np.ndarray, centers: np.ndarray, extent: int):
     """extent x extent windows around centers; out-of-bounds cells are zero.
 
-    fmaps (B, C, H, W), centers (B, K, 2) int (row, col).  Returns regions
+    fmaps (B, H, W, C), centers (B, K, 2) int (row, col).  Returns regions
     (B, K, C, extent, extent) and the index tuple `scatter_region_grads`
-    takes to send region gradients back into the maps.
+    takes to send region gradients back into the maps.  Regions keep the
+    (c, di, dj) order of the conv's columns, because the einsums over them
+    sum, and so round, in memory order.
     """
-    B, C, H, W = fmaps.shape
-    K = centers.shape[1]
+    B, H, W, _ = fmaps.shape
     rows, cols = centers[:, :, 0], centers[:, :, 1]
     if ((rows < 0) | (rows >= H) | (cols < 0) | (cols >= W)).any():
         raise InvalidInput(f"a center lies outside the {H}x{W} map")
@@ -60,25 +61,20 @@ def extract_regions(fmaps: np.ndarray, centers: np.ndarray, extent: int):
     offs = np.arange(extent) - (extent - 1) // 2
     rr = rows[:, :, None, None] + offs[None, None, :, None]
     cc = cols[:, :, None, None] + offs[None, None, None, :]
-    rr = np.broadcast_to(rr, (B, K, extent, extent))
-    cc = np.broadcast_to(cc, (B, K, extent, extent))
     valid = (rr >= 0) & (rr < H) & (cc >= 0) & (cc < W)
     rs = np.clip(rr, 0, H - 1)
     cs = np.clip(cc, 0, W - 1)
-    out = fmaps[np.arange(B)[:, None, None, None], :, rs, cs]  # B,K,e,e,C
-    out = out * valid[..., None]
+    out = fmaps[np.arange(B)[:, None, None, None], rs, cs] * valid[..., None]
     return np.ascontiguousarray(out.transpose(0, 1, 4, 2, 3)), (rs, cs, valid)
 
 
 def scatter_region_grads(dfmaps: np.ndarray, dregions: np.ndarray, idx) -> None:
-    """Adds region gradients (B, K, C, e, e) into the (B, C, H, W) map
-    gradients `dfmaps`, in place: the adjoint of `extract_regions`."""
+    """Adds region gradients (B, K, C, e, e) into the (B, H, W, C) map
+    gradients `dfmaps`, in place: the adjoint of `extract_regions`.  A map
+    cell adds the channel vectors that fall on it in (k, i, j) order."""
     rs, cs, valid = idx
-    B, K, C, e, _ = dregions.shape
     masked = (dregions * valid[:, :, None]).transpose(0, 1, 3, 4, 2)
-    bidx = np.broadcast_to(np.arange(B)[:, None, None, None], rs.shape)
-    np.add.at(dfmaps, (bidx[..., None], np.arange(C)[None, None, None, None, :],
-                       rs[..., None], cs[..., None]), masked)
+    np.add.at(dfmaps, (np.arange(len(dfmaps))[:, None, None, None], rs, cs), masked)
 
 
 def init_projection(target_c: int, source_c: int) -> np.ndarray:

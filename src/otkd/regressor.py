@@ -10,11 +10,10 @@ checks rely on.
 All convolutions are stride-1 and same-padded; the head's layer spec is what
 `pfkd.receptive_field_extent` consumes to size feature regions.
 
-Activations are channels-last (B, H, W, C), the layout of the column matmul
-`cols @ weight.T`, so no layer transposes around it; `ToyRegressor` hands out
-the features as a (B, C, G, G) view and takes their gradient in that shape.
-Training is full-batch, so the caller builds a batch's backbone columns once
-(`backbone_columns`) and every net and epoch on that batch reads them.  The
+Feature maps are channels-last (B, H, W, C) from the scene encoding to the
+feature regions, the layout of the column matmul `cols @ weight.T`, so
+nothing transposes them.  Training is full-batch: every net and epoch on a
+batch reads the columns that `backbone_columns` built once for it.  The
 input is data: the backbone computes only its parameter gradients.
 
 The conv moves data without changing a byte that its arithmetic sees.  One
@@ -60,10 +59,9 @@ def im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def backbone_columns(x: np.ndarray) -> np.ndarray:
-    """(B, C_in, G, G) network inputs -> the float32 columns that
+    """(B, G, G, C_in) network inputs -> the float32 columns that
     `ToyRegressor.forward` takes.  Every backbone has the same kernel, so one
     build serves every net and every epoch on the same batch."""
-    x = np.moveaxis(x, 1, -1)
     k = _BACKBONE_KERNEL
     return im2col(x, np.zeros((*x.shape, k, k), _DT))
 
@@ -178,8 +176,8 @@ class ToyRegressor:
         return out
 
     def forward(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """cols: `backbone_columns` of a (B, C_in, G, G) batch -> keypoints
-        (B, M, 2) in pixels, features (B, C, G, G)."""
+        """cols: `backbone_columns` of a (B, G, G, C_in) batch -> keypoints
+        (B, M, 2) in pixels, features (B, G, G, C)."""
         feats = np.tanh(self.backbone.forward(cols))
         a = np.tanh(self.head[0].forward(self.head[0].columns(feats)))
         scores = self.head[1].forward(self.head[1].columns(a)).transpose(0, 3, 1, 2)
@@ -197,15 +195,14 @@ class ToyRegressor:
         kps = np.stack([(col + 0.5) / self.spec.delta,
                         (row + 0.5) / self.spec.delta], axis=2)
         self._cache = (feats, a, prob)
-        return kps, feats.transpose(0, 3, 1, 2)
+        return kps, feats
 
-    def backward(self, dkps: np.ndarray,
-                 dfeats: np.ndarray | None = None) -> None:
+    def backward(self, dkps: np.ndarray, dfeats: np.ndarray | None) -> None:
         """Accumulates parameter gradients for the last forward pass.
 
         dkps: (B, M, 2) loss gradient in pixel coordinates; dfeats: optional
-        (B, C, G, G) extra gradient flowing directly into the feature map (the
-        feature-distillation path).  The input is data, so the backbone
+        (B, G, G, C) float32 gradient added as it is to the feature map's
+        (the feature-distillation path).  The input is data, so the backbone
         computes no input gradient.
         """
         feats, a, prob = self._cache
@@ -220,7 +217,7 @@ class ToyRegressor:
         da = self.head[1].backward(dscores.reshape(B, g, g, M))
         dfe = self.head[0].backward(da * (1.0 - a * a))
         if dfeats is not None:
-            dfe = dfe + dfeats.transpose(0, 2, 3, 1).astype(_DT)
+            dfe = dfe + dfeats
         self.backbone.backward(dfe * (1.0 - feats * feats), input_grad=False)
 
     def gd_step(self, lr: float) -> None:

@@ -272,23 +272,22 @@ def plan_residuals(plan: TransportPlan, alpha_s, alpha_t) -> tuple[float, float]
 
 def sinkhorn_unbalanced_batch(costs: np.ndarray, alpha_s: np.ndarray,
                               alpha_t: np.ndarray, epsilon, tau: float,
-                              max_iters: int = 1000, tol: float = 1e-6,
-                              f0: np.ndarray | None = None,
-                              g0: np.ndarray | None = None):
+                              max_iters: int, tol: float,
+                              f0: np.ndarray | None, g0: np.ndarray | None):
     """Solve a stack of independent instances in one vectorized loop.
 
     The iterates of :func:`sinkhorn_unbalanced`'s log-domain loop, up to
     float64 rounding, computed in the scaling domain with log-domain
     absorption (`_iterate_scaled`); without annealing (pass warm starts
     instead) and with one ``tol`` check across the stack, made for a chunk
-    of updates at a time and exact to the iterate.  Exists
-    because per-epoch re-solves in the training harness are thousands of tiny
-    problems: looping Python-side dominates the runtime, one vectorized loop
-    does not.
+    of updates at a time and exact to the iterate.  Exists because per-epoch
+    re-solves in the training harness are thousands of tiny problems:
+    looping Python-side dominates the runtime, one vectorized loop does not.
 
     costs (B, M, N); alpha_s (B, M); alpha_t (B, N) — zero entries allowed and
     produce exactly-zero rows/columns.  epsilon: scalar or (B,) per-instance;
     epsilon, tau, max_iters and tol must pass `SinkhornConfig`'s checks.
+    f0 (B, M) and g0 (B, N) are warm-start potentials; None starts cold.
     Returns (plans (B, M, N), f (B, M), g (B, N), iterations, all_converged).
     """
     C, a, b = _check_marginals(costs, alpha_s, alpha_t, ndim=3)

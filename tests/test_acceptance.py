@@ -154,7 +154,8 @@ def test_criterion_4_gradient_fidelity(monkeypatch):
     targets = _synthetic_targets(cfg, student, x, np.random.default_rng(6))
     projection = init_projection(cfg.student_channels, cfg.teacher_channels)
     record_solves(monkeypatch, freeze=True)  # differences on the first plans
-    total_loss(student, x, labels, targets, cfg, projection=projection)
+    total_loss(student, x, labels, targets, cfg, projection=projection,
+               warm_start=None)
     analytic = np.concatenate([g.ravel() for g in student.gradients()])
 
     h = 1e-2        # forward pass is float32; see the gradient-check note
@@ -166,10 +167,10 @@ def test_criterion_4_gradient_fidelity(monkeypatch):
             orig = flat[i]
             flat[i] = orig + h
             up = total_loss(student, x, labels, targets, cfg,
-                            projection=projection).loss
+                            projection=projection, warm_start=None).loss
             flat[i] = orig - h
             down = total_loss(student, x, labels, targets, cfg,
-                              projection=projection).loss
+                              projection=projection, warm_start=None).loss
             flat[i] = orig
             g[i] = (up - down) / (2 * h)
         fd_parts.append(g)

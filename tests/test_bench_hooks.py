@@ -53,7 +53,7 @@ def test_hooks_count_one_solve(bench, monkeypatch):
     tracer = layers.Tracer()
     hook = layers.Tracer((crosscheck.HALF_ITERATION,))
     with tracer, hook:
-        res = harness.total_loss(student, x, labels, targets, cfg)
+        res = harness.total_loss(student, x, labels, targets, cfg, None, None)
     batch = tracer.stats["sinkhorn.batch"]
     assert "sinkhorn.batch" not in tracer.broken_counters
     assert batch.calls == 1

@@ -445,6 +445,17 @@ def test_bad_input_is_usage_error(tmp_path, pnp_files, make_argv):
     assert "Traceback" not in res.stderr
 
 
+def test_too_few_keypoints_fail_before_training(tmp_path):
+    # the pose check runs before the ensemble trains, and nothing is written
+    out = tmp_path / "out"
+    res = run_cli("experiment", "--num-keypoints", "5", "--out", str(out),
+                  env=dict(os.environ, OTKD_LOG="info"))
+    assert res.returncode == 1
+    assert "error: pose evaluation needs num_keypoints >= 6" in res.stderr
+    assert "training" not in res.stderr
+    assert not out.exists()
+
+
 class TestTopLevel:
     @pytest.mark.parametrize("argv", [
         ["--help"], ["sinkhorn", "--help"], ["experiment", "--help"],

@@ -18,10 +18,9 @@ from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, NUM_CORNERS,
                           make_teacher_ensemble, prepare_targets,
                           run_experiment, total_loss,
                           write_report_csv, write_report_json)
-from otkd.pfkd import (extract_regions, init_projection,
-                       receptive_field_extent, scatter_region_grads)
+from otkd.pfkd import extract_regions, init_projection, receptive_field_extent
 from otkd.pnp import PnpResult
-from otkd.regressor import ToyRegressor
+from otkd.regressor import ToyRegressor, im2col
 from otkd.sinkhorn import sinkhorn_unbalanced_batch
 from test_pfkd import loop_pfkd_loss, padded_window
 from test_sinkhorn import log_domain_batch
@@ -149,7 +148,7 @@ class TestConditionConfig:
 
 
 # --------------------------------------------------------------------------
-# region centers, and the library's region extraction as the harness calls it
+# region centers
 
 
 class TestRegionHelpers:
@@ -157,31 +156,6 @@ class TestRegionHelpers:
         kps = np.array([[[-50.0, -50.0], [500.0, 500.0]]])
         centers = _region_centers(kps)
         assert centers.tolist() == [[[0, 0], [GRID - 1, GRID - 1]]]
-
-    @pytest.mark.parametrize("extent", [1, 3, 4])
-    def test_extract_matches_single_region(self, extent):
-        rng = np.random.default_rng(extent)
-        fmaps = rng.normal(size=(2, 3, GRID, GRID))
-        # interior plus all four borders
-        centers = np.array([[[0, 0], [0, 7], [5, GRID - 1], [8, 8]],
-                            [[GRID - 1, GRID - 1], [3, 0], [GRID - 1, 2], [9, 4]]])
-        regions, _ = extract_regions(fmaps, centers, extent)
-        for b in range(2):
-            for k in range(4):
-                np.testing.assert_array_equal(
-                    regions[b, k], padded_window(fmaps[b], centers[b, k], extent))
-
-    def test_scatter_is_the_adjoint_of_extract(self):
-        rng = np.random.default_rng(5)
-        fmaps = rng.normal(size=(2, 3, GRID, GRID))
-        centers = np.array([[[0, 1], [10, 15]], [[GRID - 1, 0], [7, 7]]])
-        regions, idx = extract_regions(fmaps, centers, 4)
-        d = rng.normal(size=regions.shape)
-        scattered = np.zeros_like(fmaps)
-        scatter_region_grads(scattered, d, idx)
-        lhs = float((regions * d).sum())
-        rhs = float((fmaps * scattered).sum())
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -220,7 +194,7 @@ class TestTeachers:
         cfg = dataclasses.replace(TINY, ensemble_size=1)
         teachers = make_teacher_ensemble(cfg)
         x = make_scenes(3, np.random.default_rng(2)).cols
-        targets = prepare_targets(teachers, x, cfg)
+        targets = prepare_targets(teachers, x, cfg, None)
         assert (targets.uncertainty == 0.0).all()
         assert (targets.col_weights == 1.0).all()
 
@@ -239,7 +213,7 @@ def nan_keypoints(net):
 class TestPrepareTargets:
     def test_shapes(self, tiny_teachers):
         x = make_scenes(3, np.random.default_rng(4)).cols
-        targets = prepare_targets(tiny_teachers, x, TINY)
+        targets = prepare_targets(tiny_teachers, x, TINY, None)
         extent = receptive_field_extent(tiny_teachers[0].head_spec())
         assert targets.predictions.shape == (3, NUM_CORNERS, 2)
         assert targets.col_weights.shape == (3, NUM_CORNERS)
@@ -254,13 +228,13 @@ class TestPrepareTargets:
                             nan_keypoints(tiny_teachers[1]))
         x = make_scenes(3, np.random.default_rng(4)).cols
         with pytest.raises(TrainingDiverged, match="teacher member 1 "):
-            prepare_targets(tiny_teachers, x, TINY)
+            prepare_targets(tiny_teachers, x, TINY, None)
 
     def test_corruption_inflates_uncertainty_of_chosen_columns(self, tiny_teachers):
         cfg = dataclasses.replace(TINY, corrupt_noise_px=40.0,
                                   corrupt_keypoints=(1, 6))
         x = make_scenes(4, np.random.default_rng(4)).cols
-        clean = prepare_targets(tiny_teachers, x, cfg)
+        clean = prepare_targets(tiny_teachers, x, cfg, None)
         noisy = prepare_targets(tiny_teachers, x, cfg,
                                 corrupt_rng=np.random.default_rng(0))
         u = noisy.uncertainty.mean(axis=0)
@@ -320,8 +294,8 @@ class TestTotalLoss:
         s1, x, labels = _student_and_batch(cfg)
         s2, _, _ = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, s1, x, np.random.default_rng(8))
-        r1 = total_loss(s1, x, labels, targets, cfg)
-        r2 = total_loss(s2, x, labels, None, cfg)
+        r1 = total_loss(s1, x, labels, targets, cfg, None, None)
+        r2 = total_loss(s2, x, labels, None, cfg, None, None)
         assert r1.loss == r2.loss
         assert r1.parts["pred"] == r1.parts["feat"] == 0.0
         for g1, g2 in zip(s1.gradients(), s2.gradients()):
@@ -340,7 +314,8 @@ class TestTotalLoss:
                                  uncertainty=np.zeros(kps64.shape[:2]),
                                  regions=regions)
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
-        res = total_loss(student, x, labels, targets, cfg, projection=projection)
+        res = total_loss(student, x, labels, targets, cfg,
+                         projection=projection, warm_start=None)
         # residual off-diagonal plan mass pairs non-identical regions and
         # far-apart keypoints, so the transfer terms vanish only to the
         # entropic floor (typical prediction term here is O(10))
@@ -359,8 +334,8 @@ class TestTotalLoss:
             base, col_weights=blend_weights(teacher_confidence(u),
                                             np.ones_like(u), cfg.lam))
         uniform = dataclasses.replace(base, col_weights=np.ones_like(u))
-        r1 = total_loss(s1, x, labels, blended, cfg)
-        r2 = total_loss(s2, x, labels, uniform, cfg)
+        r1 = total_loss(s1, x, labels, blended, cfg, None, None)
+        r2 = total_loss(s2, x, labels, uniform, cfg, None, None)
         assert r1.loss == r2.loss
         for g1, g2 in zip(s1.gradients(), s2.gradients()):
             assert np.array_equal(g1, g2)
@@ -370,7 +345,7 @@ class TestTotalLoss:
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(2))
         solves = record_solves(monkeypatch)
-        res = total_loss(student, x, labels, targets, cfg)
+        res = total_loss(student, x, labels, targets, cfg, None, None)
         kps64 = np.asarray(student.forward(x)[0], dtype=float)
         dist = np.linalg.norm(kps64[:, :, None, :]
                               - targets.predictions[:, None, :, :], axis=3)
@@ -384,7 +359,8 @@ class TestTotalLoss:
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(4))
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
         solves = record_solves(monkeypatch)
-        res = total_loss(student, x, labels, targets, cfg, projection=projection)
+        res = total_loss(student, x, labels, targets, cfg,
+                         projection=projection, warm_start=None)
         kps64, fmaps = student.forward(x)
         centers = _region_centers(np.asarray(kps64, dtype=float))
         extent = targets.regions.shape[-1]
@@ -402,11 +378,11 @@ class TestTotalLoss:
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(7))
         solves = record_solves(monkeypatch)
-        res = total_loss(student, x, labels, targets, cfg)
+        res = total_loss(student, x, labels, targets, cfg, None, None)
         _, f, g, iterations, converged = solves[0]
         assert res.potentials[0] is f and res.potentials[1] is g
         assert (res.iterations, res.converged) == (iterations, converged)
-        supervised = total_loss(student, x, labels, None, cfg)
+        supervised = total_loss(student, x, labels, None, cfg, None, None)
         assert len(solves) == 1
         assert (supervised.potentials, supervised.iterations,
                 supervised.converged) == (None, None, None)
@@ -417,21 +393,21 @@ class TestTotalLoss:
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(8))
         targets.predictions[0, 0, 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite"):
-            total_loss(student, x, labels, targets, cfg)
+            total_loss(student, x, labels, targets, cfg, None, None)
 
     def test_missing_projection_rejected(self):
         cfg = dataclasses.replace(TINY, gamma_f=2.0)
         student, x, labels = _student_and_batch(cfg)
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(5))
         with pytest.raises(InvalidInput, match="projection"):
-            total_loss(student, x, labels, targets, cfg)
+            total_loss(student, x, labels, targets, cfg, None, None)
 
     def test_nonfinite_loss_raises(self):
         cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0)
         student, x, labels = _student_and_batch(cfg)
         labels[0, 0, 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite"):
-            total_loss(student, x, labels, None, cfg)
+            total_loss(student, x, labels, None, cfg, None, None)
 
     def test_full_parameter_gradient_fd(self, monkeypatch):
         cfg = dataclasses.replace(TINY, student_channels=3, teacher_channels=6,
@@ -440,12 +416,13 @@ class TestTotalLoss:
         targets = _synthetic_targets(cfg, student, x, np.random.default_rng(6))
         projection = init_projection(cfg.student_channels, cfg.teacher_channels)
         record_solves(monkeypatch, freeze=True)
-        res = total_loss(student, x, labels, targets, cfg, projection=projection)
+        res = total_loss(student, x, labels, targets, cfg,
+                         projection=projection, warm_start=None)
         analytic = np.concatenate([g.ravel() for g in student.gradients()])
 
         def loss_now():  # on the first call's plans
             return total_loss(student, x, labels, targets, cfg,
-                              projection=projection).loss
+                              projection=projection, warm_start=None).loss
 
         h = 1e-2
         fd = []
@@ -484,9 +461,9 @@ class TestTrainLoop:
     def test_loss_improves(self):
         cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0, epochs=30)
         student, x, labels = _student_and_batch(cfg)
-        before = total_loss(student, x, labels, None, cfg).loss
+        before = total_loss(student, x, labels, None, cfg, None, None).loss
         _train(student, x, labels, None, cfg, None)
-        assert total_loss(student, x, labels, None, cfg).loss < before
+        assert total_loss(student, x, labels, None, cfg, None, None).loss < before
 
     def test_divergence_raises(self):
         # from a random init almost any step improves the (bounded) loss, so
@@ -514,7 +491,7 @@ class TestTrainLoop:
         with caplog.at_level(logging.INFO, logger="otkd"):
             _train(student, x, labels, targets, cfg, None)
             _train(student, x, labels, None, cfg, None)  # no transport
-        final = total_loss(student, x, labels, None, cfg)
+        final = total_loss(student, x, labels, None, cfg, None, None)
         assert len(calls) == 4
         assert caplog.messages[0].startswith("final loss kpt ")
         assert caplog.messages[0].endswith(
@@ -555,6 +532,112 @@ class TestTrainLoop:
                                 tiny_teachers, False)
         for p1, p2 in zip(s1.parameters(), s2.parameters()):
             assert np.array_equal(p1, p2)
+
+
+# --------------------------------------------------------------------------
+# the feature-map layout: channels-first copies of the code before it was
+# channels-last, which training must not be able to tell from it
+
+
+def channels_first_encode(kps, depths):
+    gg = np.arange(GRID) + 0.5
+    lin = (np.arange(GRID) + 0.5) / GRID - 0.5
+    coord_r, coord_c = np.meshgrid(lin, lin, indexing="ij")
+    chans = []
+    for k in range(NUM_CORNERS):
+        cxg, cyg = kps[k, 0] * harness.DELTA, kps[k, 1] * harness.DELTA
+        amp = harness._BLOB_AMPLITUDE / depths[k]
+        chans.append(amp * np.exp(-((gg[None, :] - cxg) ** 2
+                                    + (gg[:, None] - cyg) ** 2)
+                                  / (2 * harness._BLOB_SIGMA ** 2)))
+    return np.stack(chans + [coord_r, coord_c]).astype(np.float32)
+
+
+def channels_first_columns(x):
+    x = np.moveaxis(x, 1, -1)
+    return im2col(x, np.zeros((*x.shape, 3, 3), np.float32))
+
+
+class ChannelsFirstRegressor(ToyRegressor):
+    """Hands out the features as a (B, C, G, G) view and takes their
+    gradient in that shape."""
+
+    def forward(self, cols):
+        kps, feats = super().forward(cols)
+        return kps, feats.transpose(0, 3, 1, 2)
+
+    def backward(self, dkps, dfeats):
+        if dfeats is not None:
+            dfeats = dfeats.transpose(0, 2, 3, 1).astype(np.float32)
+        super().backward(dkps, dfeats)
+
+
+def channels_first_extract(fmaps, centers, extent):
+    B, C, H, W = fmaps.shape
+    K = centers.shape[1]
+    rows, cols = centers[:, :, 0], centers[:, :, 1]
+    offs = np.arange(extent) - (extent - 1) // 2
+    rr = rows[:, :, None, None] + offs[None, None, :, None]
+    cc = cols[:, :, None, None] + offs[None, None, None, :]
+    rr = np.broadcast_to(rr, (B, K, extent, extent))
+    cc = np.broadcast_to(cc, (B, K, extent, extent))
+    valid = (rr >= 0) & (rr < H) & (cc >= 0) & (cc < W)
+    rs = np.clip(rr, 0, H - 1)
+    cs = np.clip(cc, 0, W - 1)
+    out = fmaps[np.arange(B)[:, None, None, None], :, rs, cs]  # B,K,e,e,C
+    out = out * valid[..., None]
+    return np.ascontiguousarray(out.transpose(0, 1, 4, 2, 3)), (rs, cs, valid)
+
+
+def channels_first_scatter(dfmaps, dregions, idx):
+    rs, cs, valid = idx
+    B, K, C, e, _ = dregions.shape
+    masked = (dregions * valid[:, :, None]).transpose(0, 1, 3, 4, 2)
+    bidx = np.broadcast_to(np.arange(B)[:, None, None, None], rs.shape)
+    np.add.at(dfmaps, (bidx[..., None], np.arange(C)[None, None, None, None, :],
+                       rs[..., None], cs[..., None]), masked)
+
+
+CHANNELS_FIRST = {"_encode": channels_first_encode,
+                  "backbone_columns": channels_first_columns,
+                  "ToyRegressor": ChannelsFirstRegressor,
+                  "extract_regions": channels_first_extract,
+                  "scatter_region_grads": channels_first_scatter}
+
+
+def test_training_cannot_tell_the_layout(monkeypatch):
+    # teachers and a PFKD student with a live feature term; every loss and
+    # gradient of every epoch, the projection included, and the end state
+    # must keep their bytes
+    cfg = dataclasses.replace(TINY, gamma_f=1.0, epochs=20)
+    runs = []
+    for patches in (CHANNELS_FIRST, {}):
+        epochs = []
+
+        def recorded(*args, **kwargs):
+            res = loss_fn(*args, **kwargs)
+            projection = kwargs["projection"]
+            kept = [projection, res.projection_gradient, *args[0].gradients()]
+            epochs.append([repr(res.loss), repr(res.parts)]
+                          + [a.tobytes() for a in kept if a is not None])
+            return res
+
+        with monkeypatch.context() as mp:
+            for name, value in patches.items():
+                mp.setattr(harness, name, value)
+            loss_fn = harness.total_loss
+            mp.setattr(harness, "total_loss", recorded)
+            teachers = make_teacher_ensemble(cfg)
+            student, _ = _train_one_seed(_condition_config("PFKD", cfg), 0,
+                                         teachers, True)
+        runs.append((epochs, [t.held_out_error_px for t in teachers],
+                     [p.tobytes() for p in student.parameters()]))
+    # every epoch and final evaluation of each member and the student, the
+    # student's with its projection and projection gradient
+    sizes = [len(epoch) for epoch in runs[1][0]]
+    assert sizes == ([8] * (cfg.ensemble_size * (cfg.teacher_epochs + 1))
+                     + [10] * (cfg.epochs + 1))
+    assert runs[0] == runs[1]
 
 
 # --------------------------------------------------------------------------
@@ -602,12 +685,15 @@ class TestExperiment:
         with pytest.raises(InvalidInput, match="condition"):
             run_experiment("FKD", TINY, seeds=[0], teachers=tiny_teachers)
 
-    def test_pose_eval_needs_six_points(self, tiny_teachers):
+    def test_pose_eval_needs_six_points(self, tiny_teachers, monkeypatch):
+        # rejected before any student trains
+        def no_training(*args):
+            raise AssertionError("a student was trained")
+
+        monkeypatch.setattr(harness, "_train", no_training)
         cfg = dataclasses.replace(TINY, num_keypoints=5)
-        student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
-                               np.random.default_rng(0))
         with pytest.raises(InvalidInput, match="num_keypoints >= 6"):
-            evaluate_student(student, cfg, make_scenes(2, np.random.default_rng(0)))
+            run_experiment("noKD", cfg, seeds=[0], teachers=tiny_teachers)
 
     def test_unconverged_and_degenerate_solves_are_logged(self, monkeypatch, caplog):
         # per solve: None degenerates, else (converged, reprojection RMS);

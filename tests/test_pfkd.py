@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otkd.errors import InvalidInput
-from otkd.harness import _region_centers
+from otkd.harness import GRID, _region_centers
 from otkd.pfkd import (ConvLayerSpec, extract_regions, init_projection,
                        receptive_field_extent, region_loss,
                        scatter_region_grads)
@@ -100,14 +100,14 @@ class TestRegionCenter:
 
 
 def window(fmap, center, extent):
-    """One region of a (C, H, W) map: `extract_regions` at B = K = 1."""
+    """One region of an (H, W, C) map: `extract_regions` at B = K = 1."""
     regions, _ = extract_regions(fmap[None], np.array([[center]]), extent)
     return regions[0, 0]
 
 
 class TestExtractRegion:
     def make_map(self):
-        return np.arange(16, dtype=float).reshape(1, 4, 4)
+        return np.arange(16, dtype=float).reshape(4, 4, 1)
 
     def test_interior_window(self):
         reg = window(self.make_map(), (1, 2), 3)
@@ -254,11 +254,12 @@ class TestPfkdLoss:
 
 
 def padded_window(data, center, extent):
-    """Reference window: zero-pad the (C, H, W) map, then slice it."""
+    """Reference window: zero-pad the (H, W, C) map, slice it, and put the
+    channels first, as regions have them."""
     lo = (extent - 1) // 2
-    padded = np.pad(data, ((0, 0), (lo, extent), (lo, extent)))
+    padded = np.pad(data, ((lo, extent), (lo, extent), (0, 0)))
     r, c = center
-    return padded[:, r:r + extent, c:c + extent]
+    return padded[r:r + extent, c:c + extent].transpose(2, 0, 1)
 
 
 def loop_region_grads(T, S, P):
@@ -278,6 +279,25 @@ def region_dims():
     return st.tuples(st.integers(2, 4), st.integers(1, 4), st.integers(1, 4),
                      st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
                      st.integers(0, 10_000))
+
+
+@st.composite
+def region_cases(draw):
+    """(B, H, W, C) maps, (B, K, 2) centers anywhere on them, an extent."""
+    B, K, C, H, W, extent, seed = draw(region_dims())
+    rng = np.random.default_rng(seed)
+    centers = np.stack([rng.integers(0, H, (B, K)),
+                        rng.integers(0, W, (B, K))], axis=-1)
+    return rng.normal(size=(B, H, W, C)), centers, extent
+
+
+def grid_case(extent):
+    """Maps of the harness's size with centers inside and on all four
+    borders."""
+    fmaps = np.random.default_rng(extent).normal(size=(2, GRID, GRID, 3))
+    centers = np.array([[[0, 0], [0, 7], [5, GRID - 1], [8, 8]],
+                        [[GRID - 1, GRID - 1], [3, 0], [GRID - 1, 2], [9, 4]]])
+    return fmaps, centers, extent
 
 
 class TestBatchedForms:
@@ -300,29 +320,27 @@ class TestBatchedForms:
             np.testing.assert_allclose(dT[b], rT / B, rtol=1e-12, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
-    @given(region_dims())
-    def test_extract_matches_padded_window(self, dims):
-        B, K, C, H, W, extent, seed = dims
-        rng = np.random.default_rng(seed)
-        fmaps = rng.normal(size=(B, C, H, W))
-        centers = np.stack([rng.integers(0, H, (B, K)),
-                            rng.integers(0, W, (B, K))], axis=-1)
+    @given(region_cases())
+    @example(grid_case(1))
+    @example(grid_case(3))
+    @example(grid_case(4))
+    def test_extract_matches_padded_window(self, case):
+        fmaps, centers, extent = case
         regions, _ = extract_regions(fmaps, centers, extent)
-        for b in range(B):
-            for k in range(K):
+        for b in range(len(fmaps)):
+            for k in range(centers.shape[1]):
                 np.testing.assert_array_equal(
                     regions[b, k], padded_window(fmaps[b], centers[b, k], extent))
 
     @settings(max_examples=40, deadline=None)
-    @given(region_dims())
-    def test_scatter_is_the_adjoint_of_extract(self, dims):
-        B, K, C, H, W, extent, seed = dims
-        rng = np.random.default_rng(seed)
-        fmaps = rng.normal(size=(B, C, H, W))
-        centers = np.stack([rng.integers(0, H, (B, K)),
-                            rng.integers(0, W, (B, K))], axis=-1)
+    @given(region_cases())
+    @example(grid_case(1))
+    @example(grid_case(3))
+    @example(grid_case(4))
+    def test_scatter_is_the_adjoint_of_extract(self, case):
+        fmaps, centers, extent = case
         regions, idx = extract_regions(fmaps, centers, extent)
-        d = rng.normal(size=regions.shape)
+        d = np.random.default_rng(fmaps.size).normal(size=regions.shape)
         scattered = np.zeros_like(fmaps)
         scatter_region_grads(scattered, d, idx)
         # <extract(x), d> == <x, scatter(d)> for every x
@@ -330,7 +348,7 @@ class TestBatchedForms:
                                                     rel=1e-12, abs=1e-12)
 
     def test_rejects_center_outside(self):
-        fmaps = np.zeros((2, 1, 4, 6))
+        fmaps = np.zeros((2, 4, 6, 1))
         with pytest.raises(InvalidInput, match="outside the"):
             extract_regions(fmaps, np.array([[[0, 5]], [[4, 0]]]), 3)
         extract_regions(fmaps, np.array([[[0, 5]], [[3, 0]]]), 3)

@@ -2,7 +2,7 @@
 itself or the benchmark.  A name that only tests reach is dead code; wire it
 in or delete it.
 
-Three checks:
+Four checks:
 
 * every top-level function and class and every non-dunder method is used:
   a `Name` or `Attribute` node or an import of the name;
@@ -14,7 +14,10 @@ Three checks:
 * every parameter with a default, of a top-level function or a method, is
   passed by some call of a callee of that bare name: by keyword, by
   position, or through `*` or `**`.  `cli.main(argv=)` is exempt: it is
-  the console-script entry point, which the tests call with arguments.
+  the console-script entry point, which the tests call with arguments;
+* every parameter default is relied on: some call of a callee of that bare
+  name leaves the parameter out.  A default that only tests leave out is a
+  value the system always passes; make it required.
 
 Strings and comments do not count, and neither does the definition itself.
 """
@@ -102,6 +105,12 @@ def _is_passed(calls, parameter, position) -> bool:
                for keywords, count, starred in calls)
 
 
+def _omits(calls, parameter, position) -> bool:
+    return any(parameter not in keywords and None not in keywords
+               and (position is None or (count <= position and not starred))
+               for keywords, count, starred in calls)
+
+
 def _uses():
     names = set()
     for path in SYSTEM:
@@ -152,3 +161,11 @@ def test_every_defaulted_parameter_is_passed():
                 if label not in _ENTRY_POINT
                 and not _is_passed(passes.get(name, []), parameter, position)]
     assert unpassed == []
+
+
+def test_every_default_is_relied_on():
+    passes = _passes()
+    always_passed = [label for label, name, parameter, position
+                     in _defaulted_parameters()
+                     if not _omits(passes.get(name, []), parameter, position)]
+    assert always_passed == []

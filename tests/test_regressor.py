@@ -111,12 +111,12 @@ class TestIm2col:
         # a 1x1 kernel's columns are its input, not a copy
         assert np.shares_memory(cols, x)
 
-    def test_backbone_columns_of_channels_first_input(self):
-        x = np.random.default_rng(2).normal(size=(2, 4, 5, 5))
+    def test_backbone_columns_of_channels_last_input(self):
+        x = np.random.default_rng(2).normal(size=(2, 5, 5, 4))
         cols = backbone_columns(x)
         assert cols.dtype == np.float32
         np.testing.assert_array_equal(
-            cols, im2col_reference(nhwc(x).astype(np.float32), 3))
+            cols, im2col_reference(x.astype(np.float32), 3))
 
     @settings(max_examples=80, deadline=None)
     @given(exact_shapes)
@@ -130,10 +130,10 @@ class TestIm2col:
         # a refill of the kept workspace is as good as the first build
         y = awkward(rng, (B, H, W, c_in))
         assert conv.columns(y).tobytes() == im2col_reference(y, k).tobytes()
-        # the backbone's build from a channels-first float64 batch
-        z = awkward(rng, (B, c_in, H, W), np.float64)
+        # the backbone's build from a float64 batch
+        z = awkward(rng, (B, H, W, c_in), np.float64)
         assert backbone_columns(z).tobytes() == im2col_reference(
-            nhwc(z).astype(np.float32), 3).tobytes()
+            z.astype(np.float32), 3).tobytes()
 
     def test_workspace_follows_the_input_shape(self):
         rng = np.random.default_rng(3)
@@ -277,16 +277,16 @@ class TestConv2d:
 class TestToyRegressor:
     def test_output_shapes_and_ranges(self):
         net = make_net()
-        x = np.random.default_rng(7).normal(size=(3, 4, 8, 8))
+        x = np.random.default_rng(7).normal(size=(3, 8, 8, 4))
         kps, feats = net.forward(backbone_columns(x))
         assert kps.shape == (3, 2, 2)
-        assert feats.shape == (3, 3, 8, 8)
+        assert feats.shape == (3, 8, 8, 3)
         # soft-argmax of grid cells stays inside the image
         assert (kps >= 0).all() and (kps <= 32.0).all()
         assert (np.abs(feats) <= 1.0).all()
 
     def test_deterministic_for_same_seed(self):
-        x = backbone_columns(np.random.default_rng(8).normal(size=(2, 4, 8, 8)))
+        x = backbone_columns(np.random.default_rng(8).normal(size=(2, 8, 8, 4)))
         a, _ = make_net(seed=11).forward(x)
         b, _ = make_net(seed=11).forward(x)
         np.testing.assert_array_equal(a, b)
@@ -311,7 +311,7 @@ class TestToyRegressor:
         # full-network check against central differences of a scalar loss
         net = make_net(seed=20)
         rng = np.random.default_rng(21)
-        x = backbone_columns(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
+        x = backbone_columns(rng.normal(size=(2, 8, 8, 4)).astype(np.float32))
         target = rng.uniform(4.0, 28.0, (2, 2, 2))
 
         def loss_value():
@@ -320,7 +320,7 @@ class TestToyRegressor:
 
         kps, _ = net.forward(x)
         dkps = 2.0 * (kps - target)
-        net.backward(dkps)
+        net.backward(dkps, None)
         grads = [g.copy() for g in net.gradients()]
         h = 1e-2
         checked = 0
@@ -343,8 +343,8 @@ class TestToyRegressor:
         # a pure feature loss
         net = make_net(seed=30)
         rng = np.random.default_rng(31)
-        x = backbone_columns(rng.normal(size=(1, 4, 8, 8)).astype(np.float32))
-        gmat = rng.normal(size=(1, 3, 8, 8)).astype(np.float32)
+        x = backbone_columns(rng.normal(size=(1, 8, 8, 4)).astype(np.float32))
+        gmat = rng.normal(size=(1, 8, 8, 3)).astype(np.float32)
 
         def loss_value():
             _, feats = net.forward(x)
@@ -367,21 +367,22 @@ class TestToyRegressor:
     def test_gd_step_descends(self):
         net = make_net(seed=40)
         rng = np.random.default_rng(41)
-        x = backbone_columns(rng.normal(size=(4, 4, 8, 8)).astype(np.float32))
+        x = backbone_columns(rng.normal(size=(4, 8, 8, 4)).astype(np.float32))
         target = rng.uniform(8.0, 24.0, (4, 2, 2))
         losses = []
         for _ in range(60):
             kps, _ = net.forward(x)
             losses.append(float(((kps - target) ** 2).mean()))
-            net.backward(2.0 * (kps - target) / (kps.shape[0] * kps.shape[1]))
+            net.backward(2.0 * (kps - target) / (kps.shape[0] * kps.shape[1]),
+                         None)
             net.gd_step(0.01)
         assert losses[-1] < 0.1 * losses[0]
 
     def test_gd_step_keeps_dtype(self):
         net = make_net()
-        x = np.random.default_rng(42).normal(size=(1, 4, 8, 8))
+        x = np.random.default_rng(42).normal(size=(1, 8, 8, 4))
         kps, _ = net.forward(backbone_columns(x))
-        net.backward(np.ones_like(kps))
+        net.backward(np.ones_like(kps), None)
         net.gd_step(0.01)
         for p in net.parameters():
             assert p.dtype == np.float32
@@ -389,7 +390,7 @@ class TestToyRegressor:
     def test_columns_built_once_match_fresh_columns(self):
         # training reuses one build of a batch's columns every epoch; each
         # step must give the bytes that freshly built columns give
-        x = np.random.default_rng(43).normal(size=(3, 4, 8, 8))
+        x = np.random.default_rng(43).normal(size=(3, 8, 8, 4))
         target = np.random.default_rng(44).uniform(8.0, 24.0, (3, 2, 2))
         once = backbone_columns(x)
         kept, fresh = make_net(seed=45), make_net(seed=45)
@@ -437,7 +438,7 @@ class ReferenceRegressor(ToyRegressor):
         kps = np.stack([(prob @ self._cols + 0.5) / self.spec.delta,
                         (prob @ self._rows + 0.5) / self.spec.delta], axis=2)
         self._cache = (feats, a, prob)
-        return kps, feats.transpose(0, 3, 1, 2)
+        return kps, feats
 
 
 def test_training_cannot_tell_the_conv_from_its_reference():

@@ -30,6 +30,10 @@ def lp_transport_cost(cost, a, b):
     return res.fun
 
 
+# `SinkhornConfig`'s iteration cap and tolerance, from a cold start
+COLD = dict(max_iters=1000, tol=1e-6, f0=None, g0=None)
+
+
 def log_domain_batch(costs, alpha_s, alpha_t, epsilon, tau, max_iters=1000,
                      tol=1e-6, f0=None, g0=None):
     """`sinkhorn_unbalanced_batch` run by the log-domain loop, `_iterate`:
@@ -208,11 +212,13 @@ class TestMechanics:
         b = np.full((3, 4), 0.25)
         b[1, 2] = 0.0
         cold, f, g, iterations, converged = sinkhorn_unbalanced_batch(
-            costs, a, b, epsilon=0.01, tau=10.0, tol=1e-5, max_iters=20000)
+            costs, a, b, epsilon=0.01, tau=10.0, tol=1e-5, max_iters=20000,
+            f0=None, g0=None)
         assert converged and iterations > 2
         assert np.isneginf(g[1, 2]) and np.isneginf(g).sum() == 1
         warm, _, _, iterations, converged = sinkhorn_unbalanced_batch(
-            costs, a, b, epsilon=0.01, tau=10.0, tol=1e-5, f0=f, g0=g)
+            costs, a, b, epsilon=0.01, tau=10.0, max_iters=1000, tol=1e-5,
+            f0=f, g0=g)
         assert converged and iterations <= 2
         np.testing.assert_allclose(warm, cold, atol=1e-4)
         assert (warm[1, :, 2] == 0.0).all()
@@ -266,7 +272,8 @@ class TestMechanics:
         eps = rng.uniform(0.02, 0.2, B)
         tau = math.inf if balanced else float(rng.uniform(0.5, 50.0))
         plans, *_ = sinkhorn_unbalanced_batch(costs, a, b, eps, tau,
-                                              max_iters=50, tol=1e-300)
+                                              max_iters=50, tol=1e-300,
+                                              f0=None, g0=None)
         for k in range(B):
             single = sinkhorn_unbalanced(
                 costs[k], a[k], b[k],
@@ -366,7 +373,8 @@ class TestMechanics:
         a = np.full((3, 4), 0.25)
         b = np.full((3, 4), 0.25)
         b[:, 2] = 0.0
-        plans, *_ = sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
+        plans, *_ = sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02,
+                                              tau=10.0, **COLD)
         assert (plans[:, :, 2] == 0.0).all()
 
     def test_cost_matrix_euclidean(self):
@@ -432,14 +440,15 @@ class TestValidation:
         with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced(costs[1], a[1], b[1])
         with pytest.raises(InvalidInput, match=message):
-            sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
+            sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0, **COLD)
 
     @pytest.mark.parametrize("epsilon", [[0.05, np.inf], [0.05, np.nan]],
                              ids=["inf", "nan"])
     def test_batch_rejects_bad_epsilon_in_any_instance(self, epsilon):
         with pytest.raises(InvalidInput, match="^epsilon must be finite and > 0"):
             sinkhorn_unbalanced_batch(np.ones((2, 3, 3)), np.ones((2, 3)),
-                                      np.ones((2, 3)), epsilon=epsilon, tau=10.0)
+                                      np.ones((2, 3)), epsilon=epsilon, tau=10.0,
+                                      **COLD)
 
     @pytest.mark.parametrize("costs,a,b,message", [
         (np.ones((2, 3, 3)), np.ones((2, 3)), np.ones((2, 2)), "marginals of"),
@@ -448,7 +457,7 @@ class TestValidation:
     ], ids=["marginal-sizes", "empty-instance", "missing-batch-axis"])
     def test_batch_rejects_shapes(self, costs, a, b, message):
         with pytest.raises(InvalidInput, match=message):
-            sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0)
+            sinkhorn_unbalanced_batch(costs, a, b, epsilon=0.02, tau=10.0, **COLD)
 
     @pytest.mark.parametrize("kw", [dict(epsilon=0.0), dict(epsilon=0.1, tau=0.0),
                                     dict(epsilon=0.1, max_iters=0),
@@ -466,7 +475,7 @@ class TestValidation:
             SinkhornConfig(**kw)
         with pytest.raises(InvalidInput, match=message):
             sinkhorn_unbalanced_batch(np.ones((2, 3, 3)), np.ones((2, 3)),
-                                      np.ones((2, 3)), **{"tau": 10.0, **kw})
+                                      np.ones((2, 3)), **{"tau": 10.0, **COLD, **kw})
 
 
 @settings(max_examples=30, deadline=None)
