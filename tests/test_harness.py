@@ -18,7 +18,8 @@ from otkd.harness import (CONDITIONS, CSV_HEADER, GRID, NUM_CORNERS,
                           make_teacher_ensemble, prepare_targets,
                           run_experiment, total_loss,
                           write_report_csv, write_report_json)
-from otkd.pfkd import extract_regions, init_projection, receptive_field_extent
+from otkd.pfkd import (extract_regions, init_projection,
+                       receptive_field_extent, scatter_region_grads)
 from otkd.pnp import PnpResult
 from otkd.regressor import ToyRegressor, im2col
 from otkd.sinkhorn import sinkhorn_unbalanced_batch
@@ -148,7 +149,7 @@ class TestConditionConfig:
 
 
 # --------------------------------------------------------------------------
-# region centers
+# region centers, and the library's region extraction as the harness calls it
 
 
 class TestRegionHelpers:
@@ -156,6 +157,31 @@ class TestRegionHelpers:
         kps = np.array([[[-50.0, -50.0], [500.0, 500.0]]])
         centers = _region_centers(kps)
         assert centers.tolist() == [[[0, 0], [GRID - 1, GRID - 1]]]
+
+    @pytest.mark.parametrize("extent", [1, 3, 4])
+    def test_extract_matches_single_region(self, extent):
+        rng = np.random.default_rng(extent)
+        fmaps = rng.normal(size=(2, GRID, GRID, 3))
+        # interior plus all four borders
+        centers = np.array([[[0, 0], [0, 7], [5, GRID - 1], [8, 8]],
+                            [[GRID - 1, GRID - 1], [3, 0], [GRID - 1, 2], [9, 4]]])
+        regions, _ = extract_regions(fmaps, centers, extent)
+        for b in range(2):
+            for k in range(4):
+                np.testing.assert_array_equal(
+                    regions[b, k], padded_window(fmaps[b], centers[b, k], extent))
+
+    def test_scatter_is_the_adjoint_of_extract(self):
+        rng = np.random.default_rng(5)
+        fmaps = rng.normal(size=(2, GRID, GRID, 3))
+        centers = np.array([[[0, 1], [10, 15]], [[GRID - 1, 0], [7, 7]]])
+        regions, idx = extract_regions(fmaps, centers, 4)
+        d = rng.normal(size=regions.shape)
+        scattered = np.zeros_like(fmaps)
+        scatter_region_grads(scattered, d, idx)
+        lhs = float((regions * d).sum())
+        rhs = float((fmaps * scattered).sum())
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
