@@ -22,7 +22,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,18 +247,77 @@ class DistillTargets:
     regions: np.ndarray              # (B, N, C_T, e, e) ensemble-mean regions
 
 
+def _blas_thread_calls():
+    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
+    None when numpy's BLAS exports no such pair under a known name."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        return None
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _map_concurrently(fn: Callable, items: Sequence) -> list:
+    """`[fn(item) for item in items]`, with the calls run on up to one thread
+    per available core.
+
+    numpy's matmuls and ufuncs release the GIL, so the calls overlap.  On
+    matmuls this small OpenBLAS's own second thread mostly busy-waits, and
+    it would take the core that a second call needs: so numpy's OpenBLAS,
+    process-wide, is held to one thread while the calls run, and is then
+    restored.  With one item, one core or no known OpenBLAS thread-count
+    calls, the calls run inline.  Results come back in item order.  Once a
+    call raises, the calls not yet started are cancelled and the running
+    ones finish; then the first exception in item order is raised, as the
+    inline loop would raise it."""
+    workers = min(len(items), len(os.sched_getaffinity(0)))
+    blas = _blas_thread_calls() if workers > 1 else None
+    if blas is None:
+        return [fn(item) for item in items]
+    # imported here: it costs about 7 ms, and only a pool needs it
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    get_threads, set_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            futures = [pool.submit(fn, item) for item in items]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        set_threads(previous)
+    # the queue is first in, first out, so every cancelled call comes after
+    # the call that raised
+    return [f.result() for f in futures]
+
+
 def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     """Trains `ensemble_size` regressors from independent initializations on a
-    shared clean scene set, freezing each afterwards.  Raises
-    TrainingDiverged if any member misses cfg.teacher_error_threshold_px on
+    shared clean scene set, freezing each afterwards.  Members train
+    concurrently (`_map_concurrently`); each has its own generator, layers
+    and workspace and only reads the scenes, so no member depends on the
+    others or on the core count.  Raises TrainingDiverged for the first
+    member, in member order, that misses cfg.teacher_error_threshold_px on
     held-out scenes."""
     scenes = make_scenes(cfg.teacher_scenes, np.random.default_rng(2024 + cfg.seed))
     held_out = _held_out_scenes(cfg)
     spec = _spec(cfg, cfg.teacher_channels, NUM_CORNERS)
     sup = dataclasses.replace(cfg, gamma_p=0.0, gamma_f=0.0,
                               num_keypoints=NUM_CORNERS, epochs=cfg.teacher_epochs)
-    teachers = []
-    for e in range(cfg.ensemble_size):
+
+    def member(e: int) -> ToyRegressor:
         member_seed = 10_000 + 97 * e + cfg.seed
         net = ToyRegressor(spec, np.random.default_rng(member_seed))
         _train(net, scenes.cols, scenes.keypoints, None, sup, None)
@@ -267,8 +328,10 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
                 f"teacher seed {member_seed}: held-out error {err:.2f}px "
                 f"is not within {cfg.teacher_error_threshold_px}px")
         net.held_out_error_px = err
-        teachers.append(net)
-    return teachers
+        net.drop_training_state()
+        return net
+
+    return _map_concurrently(member, range(cfg.ensemble_size))
 
 
 def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,

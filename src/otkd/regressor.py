@@ -223,3 +223,13 @@ class ToyRegressor:
     def gd_step(self, lr: float) -> None:
         for p, grad in zip(self.parameters(), self.gradients()):
             p -= (lr * grad).astype(p.dtype)
+
+    def drop_training_state(self) -> None:
+        """Forgets what only `backward` and the next column build read: the
+        last forward's activations, each layer's saved columns and the head's
+        workspace.  A frozen net then holds little beyond its parameters; its
+        next forward allocates the workspace zeroed again, so no output byte
+        changes."""
+        self._cache = None
+        for layer in (self.backbone, *self.head):
+            layer._cols = layer._work = None

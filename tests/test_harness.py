@@ -3,6 +3,12 @@ objective, and the five-condition experiment loop."""
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +229,176 @@ class TestTeachers:
         targets = prepare_targets(teachers, x, cfg, None)
         assert (targets.uncertainty == 0.0).all()
         assert (targets.col_weights == 1.0).all()
+
+    def test_members_keep_no_training_state(self):
+        # a forward after training, as prepare_targets runs, saves state again
+        for net in make_teacher_ensemble(TINY):
+            assert net._cache is None
+            for layer in (net.backbone, *net.head):
+                assert layer._cols is None and layer._work is None
+
+
+def serial_members(cfg):
+    """`make_teacher_ensemble`'s members trained one after another in this
+    thread: (parameter bytes, held-out error repr) per member."""
+    scenes = make_scenes(cfg.teacher_scenes, np.random.default_rng(2024 + cfg.seed))
+    held_out = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
+    sup = dataclasses.replace(cfg, gamma_p=0.0, gamma_f=0.0,
+                              num_keypoints=NUM_CORNERS, epochs=cfg.teacher_epochs)
+    out = []
+    for e in range(cfg.ensemble_size):
+        net = ToyRegressor(_spec(cfg, cfg.teacher_channels, NUM_CORNERS),
+                           np.random.default_rng(10_000 + 97 * e + cfg.seed))
+        _train(net, scenes.cols, scenes.keypoints, None, sup, None)
+        pred, _ = net.forward(held_out.cols)
+        err = float(np.linalg.norm(pred - held_out.keypoints, axis=2).mean())
+        out.append(([p.tobytes() for p in net.parameters()], repr(err)))
+    return out
+
+
+BLAS = harness._blas_thread_calls()
+needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's BLAS exports no "
+                                "OpenBLAS thread-count calls, so jobs run inline")
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, which is set to two, not
+    the one that a pool holds it to, for the test and restored after it."""
+    get_threads, set_threads = BLAS
+    previous = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(previous)
+
+
+@needs_blas
+class TestConcurrentMembers:
+    """Members train as concurrent jobs with OpenBLAS held to one thread; the
+    ensemble must not tell, whatever the core count."""
+
+    def test_ensemble_is_the_serial_loop(self, monkeypatch, blas_threads):
+        # four members on three workers, one more than this box's two cores,
+        # so a job queues and the threads switch often
+        cfg = dataclasses.replace(TINY, ensemble_size=4)
+        expected = serial_members(cfg)
+        get_threads = blas_threads
+        threads, blas_counts = set(), set()
+        train = harness._train
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            blas_counts.add(get_threads())
+            train(*args)
+
+        monkeypatch.setattr(harness, "_train", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            start = time.perf_counter()
+            teachers = make_teacher_ensemble(cfg)
+            assert time.perf_counter() - start < 60
+        finally:
+            sys.setswitchinterval(interval)
+        assert [([p.tobytes() for p in t.parameters()], repr(t.held_out_error_px))
+                for t in teachers] == expected
+        assert len(threads) > 1 and threading.get_ident() not in threads
+        assert blas_counts == {1}
+        assert get_threads() == 2
+
+        # a threshold that some members miss: the message names the first
+        # in member order, as the serial loop's does
+        errors = sorted(float(err) for _, err in expected)
+        threshold = (errors[1] + errors[2]) / 2
+        first = next(e for e, (_, err) in enumerate(expected)
+                     if float(err) > threshold)
+        message = (f"teacher seed {10_000 + 97 * first + cfg.seed}: held-out "
+                   f"error {float(expected[first][1]):.2f}px is not within "
+                   f"{threshold}px")
+        with pytest.raises(TrainingDiverged) as err:
+            make_teacher_ensemble(dataclasses.replace(
+                cfg, teacher_error_threshold_px=threshold))
+        assert str(err.value) == message
+        assert get_threads() == 2
+
+    def test_first_failure_in_item_order_is_raised(self, monkeypatch):
+        # item 2 fails first in time, item 1 later; the inline loop would
+        # raise item 1's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def job(i):
+            if i == 1:
+                time.sleep(0.2)
+            if i in (1, 2):
+                raise ValueError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            harness._map_concurrently(job, range(4))
+
+    def test_pending_jobs_are_cancelled(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started = set()
+
+        def job(i):
+            started.add(i)
+            if i == 0:
+                time.sleep(0.05)
+                raise RuntimeError("item 0")
+            time.sleep(0.3)
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="item 0"):
+            harness._map_concurrently(job, range(8))
+        # the worker freed by item 0 may take item 2 before the cancel
+        assert started <= {0, 1, 2}
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("outcome", [None, TrainingDiverged, KeyError])
+    def test_blas_threads_are_restored(self, monkeypatch, blas_threads,
+                                       outcome):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        get_threads = blas_threads
+        inside = []
+
+        def job(i):
+            inside.append(get_threads())
+            if outcome is not None and i == 1:
+                raise outcome("job failed")
+            return i
+
+        if outcome is None:
+            assert harness._map_concurrently(job, range(3)) == [0, 1, 2]
+        else:
+            with pytest.raises(outcome):
+                harness._map_concurrently(job, range(3))
+        assert inside and set(inside) == {1}
+        assert get_threads() == 2
+
+    @pytest.mark.parametrize("cores,items", [({0}, 3), ({0, 1}, 1)])
+    def test_runs_inline_without_a_second_job_or_core(self, monkeypatch,
+                                                      blas_threads, cores, items):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        get_threads = blas_threads
+        seen = []
+
+        def job(i):
+            seen.append((threading.get_ident(), get_threads()))
+            return i
+
+        assert harness._map_concurrently(job, range(items)) == list(range(items))
+        assert seen == [(threading.get_ident(), 2)] * items
+
+
+def test_importing_the_package_starts_no_pool_module():
+    # the pool's module is imported where a pool starts, not with the CLI
+    code = ("import sys, otkd.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def nan_keypoints(net):
@@ -634,18 +810,20 @@ CHANNELS_FIRST = {"_encode": channels_first_encode,
 def test_training_cannot_tell_the_layout(monkeypatch):
     # teachers and a PFKD student with a live feature term; every loss and
     # gradient of every epoch, the projection included, and the end state
-    # must keep their bytes
+    # must keep their bytes; members train concurrently, so each net's
+    # epochs are recorded apart from the others'
     cfg = dataclasses.replace(TINY, gamma_f=1.0, epochs=20)
     runs = []
     for patches in (CHANNELS_FIRST, {}):
-        epochs = []
+        epochs = {}
 
         def recorded(*args, **kwargs):
             res = loss_fn(*args, **kwargs)
             projection = kwargs["projection"]
             kept = [projection, res.projection_gradient, *args[0].gradients()]
-            epochs.append([repr(res.loss), repr(res.parts)]
-                          + [a.tobytes() for a in kept if a is not None])
+            epochs.setdefault(args[0], []).append(
+                [repr(res.loss), repr(res.parts)]
+                + [a.tobytes() for a in kept if a is not None])
             return res
 
         with monkeypatch.context() as mp:
@@ -656,11 +834,12 @@ def test_training_cannot_tell_the_layout(monkeypatch):
             teachers = make_teacher_ensemble(cfg)
             student, _ = _train_one_seed(_condition_config("PFKD", cfg), 0,
                                          teachers, True)
-        runs.append((epochs, [t.held_out_error_px for t in teachers],
+        runs.append(([epochs[net] for net in (*teachers, student)],
+                     [t.held_out_error_px for t in teachers],
                      [p.tobytes() for p in student.parameters()]))
     # every epoch and final evaluation of each member and the student, the
     # student's with its projection and projection gradient
-    sizes = [len(epoch) for epoch in runs[1][0]]
+    sizes = [len(epoch) for net in runs[1][0] for epoch in net]
     assert sizes == ([8] * (cfg.ensemble_size * (cfg.teacher_epochs + 1))
                      + [10] * (cfg.epochs + 1))
     assert runs[0] == runs[1]

@@ -405,6 +405,27 @@ class TestToyRegressor:
         assert kept.forward(once)[0].tobytes() == fresh.forward(
             backbone_columns(x))[0].tobytes()
 
+    def test_dropping_training_state_keeps_every_byte(self):
+        # a frozen net forgets its activations, columns and workspace; its
+        # next forward, and training on from it, give what the net that
+        # kept them gives
+        cols = backbone_columns(np.random.default_rng(46).normal(size=(3, 8, 8, 4)))
+        target = np.random.default_rng(47).uniform(8.0, 24.0, (3, 2, 2))
+        kept, dropped = make_net(seed=48), make_net(seed=48)
+        for step in range(4):
+            outs = []
+            for net in (kept, dropped):
+                kps, feats = net.forward(cols)
+                net.backward(kps - target, dfeats=feats)
+                net.gd_step(0.01)
+                outs.append([kps.tobytes(), feats.tobytes()]
+                            + [p.tobytes() for p in net.parameters()])
+            assert outs[0] == outs[1]
+            dropped.drop_training_state()
+            assert dropped._cache is None
+            for layer in (dropped.backbone, *dropped.head):
+                assert layer._cols is None and layer._work is None
+
 
 class ReferenceConv2d(Conv2d):
     """`Conv2d` with fresh padded columns and a whole-batch col2im."""
