@@ -88,7 +88,7 @@ def default_camera() -> CameraIntrinsics:
 @dataclass(frozen=True, eq=False)
 class Scenes:
     """A batch of box scenes in front of the default camera.  `cols` are the
-    backbone columns of the scenes' float32 (GRID, GRID, IN_CHANNELS)
+    lifted backbone columns of the scenes' float32 (GRID, GRID, IN_CHANNELS)
     encodings, built once for every net and epoch that reads the batch."""
     cols: np.ndarray
     keypoints: np.ndarray  # (B, NUM_CORNERS, 2) pixel coordinates
@@ -618,12 +618,13 @@ def run_experiment(condition: str, cfg: TrainingConfig,
     """
     eff = _condition_config(condition, cfg)
     check_pose_evaluation(cfg)
+    held_out = _held_out_scenes(cfg)
     rows = []
     uncertainty = {}
     for seed in seeds:
         start = time.perf_counter()
         student, u_mean = _train_one_seed(eff, seed, teachers, corrupt_teacher)
-        metrics = evaluate_student(student, cfg, _held_out_scenes(cfg))
+        metrics = evaluate_student(student, cfg, held_out)
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
         rows.append(ReportRow(condition=condition, seed=seed,
                               epochs=cfg.epochs, wall_ms=wall_ms, **metrics))

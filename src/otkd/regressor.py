@@ -16,6 +16,15 @@ nothing transposes them.  Training is full-batch: every net and epoch on a
 batch reads the columns that `backbone_columns` built once for it.  The
 input is data: the backbone computes only its parameter gradients.
 
+Those columns hold float32 subnormals, the far tails of the scene encoding's
+blobs, and every matmul operand that is subnormal costs a microcode assist.
+So the columns are lifted by 2^23, which makes the least subnormal 2^-149 the
+least normal 2^-126, and the backbone scales its weight or upstream gradient
+by 2^-23.  Scaling by a power of two is exact unless it leaves the range, so
+every product is the real number it was and every sum rounds to the same
+bits; where the 2^-23 would round an entry, the backbone unlifts the columns
+instead.
+
 The conv moves data without changing a byte that its arithmetic sees.  One
 builder, `im2col`, writes the shifted slices of the unpadded input into a
 zero-bordered array, which each 3x3 head layer keeps as its workspace across
@@ -29,11 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInput
 from .pfkd import ConvLayerSpec
 
 _DT = np.float32
 _BACKBONE_KERNEL = 3
 _BLOCK = 8  # scenes per block of the column build and the gradient scatter
+_LIFT, _DROP = _DT(2.0 ** 23), _DT(2.0 ** -23)
+_LIFT_LIMIT = 2.0 ** 104  # lifted, a float32 at or above this could overflow
 
 
 def im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -60,10 +72,23 @@ def im2col(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def backbone_columns(x: np.ndarray) -> np.ndarray:
     """(B, G, G, C_in) network inputs -> the float32 columns that
-    `ToyRegressor.forward` takes.  Every backbone has the same kernel, so one
-    build serves every net and every epoch on the same batch."""
+    `ToyRegressor.forward` takes, lifted by 2^23.  Every backbone has the same
+    kernel, so one build serves every net and every epoch on the same batch.
+
+    The input is rounded to float32 before the lift, which is then exact.
+    Raises InvalidInput for a finite entry of 2^104 or more in magnitude,
+    whose lift could overflow; inf and NaN lift to themselves."""
+    if (np.isfinite(x) & (np.abs(x) >= _LIFT_LIMIT)).any():
+        raise InvalidInput("backbone input entries must be below 2^104 in magnitude")
     k = _BACKBONE_KERNEL
-    return im2col(x, np.zeros((*x.shape, k, k), _DT))
+    return im2col(np.multiply(x, _LIFT, dtype=_DT), np.zeros((*x.shape, k, k), _DT))
+
+
+def _drop(a: np.ndarray) -> np.ndarray | None:
+    """`a` times 2^-23, or None when that is not exact: a nonzero entry
+    below 2^-103 in magnitude lost bits, or an entry is NaN."""
+    d = a * _DROP
+    return d if (d * _LIFT == a).all() else None
 
 
 class Conv2d:
@@ -104,9 +129,9 @@ class Conv2d:
         self._cols = cols
         return cols @ self.weight.T + self.bias
 
-    def backward(self, dy: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray) -> np.ndarray:
         """dy: (B, H, W, C_out).  Sets the parameter gradients and returns the
-        (B, H, W, C_in) input gradient, or None when `input_grad` is False.
+        (B, H, W, C_in) input gradient.
 
         The input gradient scatters the column gradient `dy @ weight` onto
         the padded input, adding its taps in (di, dj) order, a block of
@@ -117,8 +142,6 @@ class Conv2d:
         dyf = dy.reshape(-1, c_out)
         self.grad_weight = dyf.T @ self._cols.reshape(-1, self._cols.shape[-1])
         self.grad_bias = dyf.sum(axis=0)
-        if not input_grad:
-            return None
         k, pad = self.kernel, self.pad
         dcols = (dyf @ self.weight).reshape(B, Ho, Wo, self.c_in, k, k)
         dxp = np.zeros((B, Ho + 2 * pad, Wo + 2 * pad, self.c_in), dy.dtype)
@@ -128,6 +151,26 @@ class Conv2d:
                 for dj in range(k):
                     dst[:, di:di + Ho, dj:dj + Wo] += src[:, :, :, :, di, dj]
         return dxp[:, pad:Ho + pad, pad:Wo + pad] if pad else dxp
+
+
+class Backbone(Conv2d):
+    """The first conv, on lifted columns: its outputs and parameter gradients
+    are a plain `Conv2d`'s on unlifted ones, byte for byte.  `backward`
+    computes no input gradient."""
+
+    def forward(self, cols: np.ndarray) -> np.ndarray:
+        self._cols = cols
+        w = _drop(self.weight)
+        if w is None:
+            return (cols * _DROP) @ self.weight.T + self.bias
+        return cols @ w.T + self.bias
+
+    def backward(self, dy: np.ndarray) -> None:
+        dyf = dy.reshape(-1, dy.shape[-1])
+        cols = self._cols.reshape(-1, self._cols.shape[-1])
+        d = _drop(dyf)
+        self.grad_weight = dyf.T @ (cols * _DROP) if d is None else d.T @ cols
+        self.grad_bias = dyf.sum(axis=0)
 
 
 @dataclass
@@ -151,7 +194,7 @@ class ToyRegressor:
     def __init__(self, spec: RegressorSpec, rng: np.random.Generator):
         self.spec = spec
         c = spec.channels
-        self.backbone = Conv2d(spec.in_channels, c, _BACKBONE_KERNEL, rng)
+        self.backbone = Backbone(spec.in_channels, c, _BACKBONE_KERNEL, rng)
         self.head = [Conv2d(c, c, 3, rng), Conv2d(c, spec.num_keypoints, 1, rng)]
         g = spec.grid
         rr, cc = np.meshgrid(np.arange(g, dtype=_DT), np.arange(g, dtype=_DT),
@@ -218,7 +261,7 @@ class ToyRegressor:
         dfe = self.head[0].backward(da * (1.0 - a * a))
         if dfeats is not None:
             dfe = dfe + dfeats
-        self.backbone.backward(dfe * (1.0 - feats * feats), input_grad=False)
+        self.backbone.backward(dfe * (1.0 - feats * feats))
 
     def gd_step(self, lr: float) -> None:
         for p, grad in zip(self.parameters(), self.gradients()):

@@ -756,7 +756,7 @@ def channels_first_encode(kps, depths):
 
 
 def channels_first_columns(x):
-    x = np.moveaxis(x, 1, -1)
+    x = np.moveaxis(x, 1, -1) * np.float32(2.0 ** 23)
     return im2col(x, np.zeros((*x.shape, 3, 3), np.float32))
 
 

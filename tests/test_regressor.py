@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otkd import harness
+from otkd.errors import InvalidInput
 from otkd.pfkd import receptive_field_extent
-from otkd.regressor import (_BLOCK, Conv2d, RegressorSpec, ToyRegressor,
-                            backbone_columns, im2col)
+from otkd.regressor import (_BLOCK, Backbone, Conv2d, RegressorSpec,
+                            ToyRegressor, backbone_columns, im2col)
 
 SPEC = RegressorSpec(in_channels=4, channels=3, num_keypoints=2, grid=8,
                      image_size=32.0)
@@ -66,15 +67,27 @@ def input_grad_reference(conv, dy):
     return dxp[:, pad:Ho + pad, pad:Wo + pad] if pad else dxp
 
 
-def awkward(rng, shape, dtype=np.float32):
+def awkward(rng, shape, dtype=np.float32, nonfinite=False):
     """Normal draws with about a third of the entries replaced by float32
-    subnormals, +0.0 and -0.0."""
+    subnormals, +0.0 and -0.0, and with `nonfinite` about one in twenty by
+    NaN, inf and -inf."""
     x = rng.normal(size=shape).astype(dtype)
     pick = rng.integers(0, 8, size=shape)
     x[pick == 1] = (rng.uniform(-1.0, 1.0, size=shape) * 1e-39)[pick == 1]
     x[pick == 2] = 0.0
     x[pick == 3] = -0.0
+    if nonfinite:
+        bad = rng.integers(0, 60, size=shape)
+        x[bad == 1], x[bad == 2], x[bad == 3] = np.nan, np.inf, -np.inf
     return x
+
+
+LIFT = np.float32(2.0 ** 23)
+
+
+def unlifted(cols):
+    """The columns that `backbone_columns` lifted, as a contiguous array."""
+    return np.ascontiguousarray(cols * np.float32(2.0 ** -23))
 
 
 conv_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
@@ -116,7 +129,7 @@ class TestIm2col:
         cols = backbone_columns(x)
         assert cols.dtype == np.float32
         np.testing.assert_array_equal(
-            cols, im2col_reference(x.astype(np.float32), 3))
+            cols, im2col_reference(x.astype(np.float32), 3) * LIFT)
 
     @settings(max_examples=80, deadline=None)
     @given(exact_shapes)
@@ -130,10 +143,13 @@ class TestIm2col:
         # a refill of the kept workspace is as good as the first build
         y = awkward(rng, (B, H, W, c_in))
         assert conv.columns(y).tobytes() == im2col_reference(y, k).tobytes()
-        # the backbone's build from a float64 batch
-        z = awkward(rng, (B, H, W, c_in), np.float64)
-        assert backbone_columns(z).tobytes() == im2col_reference(
-            z.astype(np.float32), 3).tobytes()
+        # the backbone's lifted build, from a float64 batch rounded to
+        # float32 first
+        assert backbone_columns(x).tobytes() == (
+            im2col_reference(x, 3) * LIFT).tobytes()
+        z = awkward(rng, (B, H, W, c_in), np.float64, nonfinite=True)
+        assert backbone_columns(z).tobytes() == (im2col_reference(
+            z.astype(np.float32), 3) * LIFT).tobytes()
 
     def test_workspace_follows_the_input_shape(self):
         rng = np.random.default_rng(3)
@@ -261,17 +277,97 @@ class TestConv2d:
             assert dx[idx] == pytest.approx(fd, rel=2e-2, abs=2e-3)
 
     def test_without_input_grad_sets_the_same_parameter_gradients(self):
+        # the backbone's backward, on lifted columns, returns no input
+        # gradient and sets a plain conv's parameter gradients
         rng = np.random.default_rng(7)
-        conv = Conv2d(3, 2, 3, rng)
-        cols = conv.columns(rng.normal(size=(2, 5, 5, 3)).astype(np.float32))
+        x = rng.normal(size=(2, 5, 5, 3)).astype(np.float32)
+        conv = Conv2d(3, 2, 3, np.random.default_rng(8))
+        backbone = Backbone(3, 2, 3, np.random.default_rng(8))
         dy = rng.normal(size=(2, 5, 5, 2)).astype(np.float32)
-        conv.forward(cols)
+        conv.forward(conv.columns(x))
         assert conv.backward(dy) is not None
-        want = conv.grad_weight.copy(), conv.grad_bias.copy()
-        conv.forward(cols)
-        assert conv.backward(dy, input_grad=False) is None
-        np.testing.assert_array_equal(conv.grad_weight, want[0])
-        np.testing.assert_array_equal(conv.grad_bias, want[1])
+        backbone.forward(backbone_columns(x))
+        assert backbone.backward(dy) is None
+        assert backbone.grad_weight.tobytes() == conv.grad_weight.tobytes()
+        assert backbone.grad_bias.tobytes() == conv.grad_bias.tobytes()
+
+
+class TestBackbone:
+    """The backbone on lifted columns against the plain product on unlifted
+    ones, with the backbone's parameters and the same upstream gradient."""
+
+    @staticmethod
+    def lifted(backbone, x, dy):
+        y = backbone.forward(backbone_columns(x))
+        assert backbone.backward(dy) is None
+        return y, backbone.grad_weight
+
+    @staticmethod
+    def plain(backbone, x, dy):
+        cols = np.ascontiguousarray(im2col_reference(x, 3))
+        y = cols @ backbone.weight.T + backbone.bias
+        return y, dy.reshape(-1, dy.shape[-1]).T @ cols.reshape(-1, cols.shape[-1])
+
+    def assert_plain_bytes(self, backbone, x, dy):
+        with np.errstate(invalid="ignore"):  # inf - inf, 0 * inf and NaN sums
+            got, want = self.lifted(backbone, x, dy), self.plain(backbone, x, dy)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_shapes, st.booleans(), st.booleans())
+    def test_lifted_bytes_are_the_plain_bytes(self, shape, odd_weight, odd_dy):
+        # awkward columns on the lifted path; an awkward weight or upstream
+        # gradient (subnormals, NaN) takes the unlifting fallback
+        B, H, W, c_in, c_out, _, seed = shape
+        rng = np.random.default_rng(seed)
+        backbone = Backbone(c_in, c_out, 3, rng)
+        backbone.bias = rng.normal(size=c_out).astype(np.float32)
+        if odd_weight:
+            backbone.weight = awkward(rng, backbone.weight.shape, nonfinite=True)
+        x = awkward(rng, (B, H, W, c_in), nonfinite=True)
+        dy = (awkward(rng, (B, H, W, c_out), nonfinite=True) if odd_dy
+              else rng.normal(size=(B, H, W, c_out)).astype(np.float32))
+        self.assert_plain_bytes(backbone, x, dy)
+
+    @pytest.mark.parametrize("tiny", [np.float32(1e-35), np.float32(np.nan)])
+    def test_a_weight_the_drop_would_round_falls_back(self, tiny):
+        # output channel 0 is one product, so a rounded weight would show
+        assert not tiny * np.float32(2.0 ** -23) * LIFT == tiny
+        rng = np.random.default_rng(9)
+        backbone = Backbone(2, 3, 3, rng)
+        backbone.weight[0] = 0.0
+        backbone.weight[0, 4] = tiny
+        x = rng.normal(size=(2, 4, 5, 2)).astype(np.float32)
+        dy = rng.normal(size=(2, 4, 5, 3)).astype(np.float32)
+        self.assert_plain_bytes(backbone, x, dy)
+
+    @pytest.mark.parametrize("tiny", [np.float32(1e-33), np.float32(np.nan)])
+    def test_an_upstream_gradient_the_drop_would_round_falls_back(self, tiny):
+        # weight-gradient row 0 is one product per column, so a rounded dy
+        # would show
+        assert not tiny * np.float32(2.0 ** -23) * LIFT == tiny
+        rng = np.random.default_rng(10)
+        backbone = Backbone(2, 3, 3, rng)
+        x = rng.normal(size=(2, 4, 5, 2)).astype(np.float32)
+        dy = rng.normal(size=(2, 4, 5, 3)).astype(np.float32)
+        dy[..., 0] = 0.0
+        dy[1, 2, 3, 0] = tiny
+        self.assert_plain_bytes(backbone, x, dy)
+
+    def test_columns_reject_an_input_whose_lift_could_overflow(self):
+        x = np.zeros((1, 3, 3, 2), np.float32)
+        below = np.nextafter(np.float32(2.0 ** 104), np.float32(0.0))
+        for v in (below, -below, np.inf, -np.inf, np.nan):
+            x[0, 1, 1, 0] = v
+            assert backbone_columns(x).tobytes() == (
+                im2col_reference(x, 3) * LIFT).tobytes()
+        for v in (2.0 ** 104, -2.0 ** 104, np.finfo(np.float32).max):
+            x[0, 1, 1, 0] = v
+            with pytest.raises(InvalidInput, match="2\\^104"):
+                backbone_columns(x)
+        with pytest.raises(InvalidInput):
+            backbone_columns(np.full((1, 2, 2, 1), 1e300))
 
 
 class TestToyRegressor:
@@ -433,14 +529,17 @@ class ReferenceConv2d(Conv2d):
     def columns(self, x):
         return im2col_reference(x, self.kernel)
 
-    def backward(self, dy, *, input_grad=True):
-        super().backward(dy, input_grad=False)
-        return input_grad_reference(self, dy) if input_grad else None
+    def backward(self, dy):
+        dyf = dy.reshape(-1, self.c_out)
+        self.grad_weight = dyf.T @ self._cols.reshape(-1, self._cols.shape[-1])
+        self.grad_bias = dyf.sum(axis=0)
+        return input_grad_reference(self, dy)
 
 
 class ReferenceRegressor(ToyRegressor):
-    """`ToyRegressor` on `ReferenceConv2d` layers, taking the logits' max on
-    their strided layout."""
+    """`ToyRegressor` on `ReferenceConv2d` layers, its backbone taking the
+    plain product on unlifted columns, and taking the logits' max on their
+    strided layout."""
 
     def __init__(self, spec, rng):
         super().__init__(spec, rng)
@@ -448,7 +547,7 @@ class ReferenceRegressor(ToyRegressor):
             layer.__class__ = ReferenceConv2d
 
     def forward(self, cols):
-        feats = np.tanh(self.backbone.forward(cols))
+        feats = np.tanh(self.backbone.forward(unlifted(cols)))
         a = np.tanh(self.head[0].forward(self.head[0].columns(feats)))
         scores = self.head[1].forward(self.head[1].columns(a)).transpose(0, 3, 1, 2)
         B, M, g, _ = scores.shape
@@ -475,5 +574,5 @@ def test_training_cannot_tell_the_conv_from_its_reference():
         harness._train(net, scenes.cols, scenes.keypoints, None, cfg, None)
         kps, _ = net.forward(scenes.cols)
         runs.append([p.tobytes() for p in net.parameters()] + [kps.tobytes()])
-    assert type(net.head[0]) is Conv2d
+    assert type(net.backbone) is Backbone and type(net.head[0]) is Conv2d
     assert runs[0] == runs[1]
