@@ -7,8 +7,10 @@ Subcommands: `sinkhorn` (solve a transport instance from CSV files),
 Exit codes: 0 success, 1 a flag or command mistake, 2 a Sinkhorn or PnP
 solve that stopped unconverged.  A toolkit error prints one `error:` line and
 exits with its class's `exit_code`, as `otkd.errors` lists them.
-`experiment` writes the rows finished before any failure, Ctrl-C included,
-then re-raises it.
+`experiment` runs teacher members and report rows on up to one forked
+process per core (`harness._map`).  On any failure, Ctrl-C and a dead worker
+included, it writes the rows a serial loop would have finished, then
+re-raises it.
 `OTKD_LOG` sets log verbosity (debug/info/warning/error).
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ from . import __version__
 from .errors import InvalidInput, OtkdError
 from .geometry import CameraIntrinsics, KeypointSet
 from .harness import (CONDITIONS, TrainingConfig, check_pose_evaluation,
-                      make_teacher_ensemble, run_experiment, write_report_csv,
+                      experiment_rows, make_teacher_ensemble, write_report_csv,
                       write_report_json)
 from .pnp import Correspondences, pnp_solve
 from .sinkhorn import default_config, plan_residuals, sinkhorn_unbalanced
@@ -191,10 +193,9 @@ def cmd_experiment(args) -> int:
     try:
         log.info("training %d-member teacher ensemble", cfg.ensemble_size)
         teachers = make_teacher_ensemble(cfg)
-        for condition in CONDITIONS:
-            for seed in seeds:
-                rows += run_experiment(condition, cfg, corrupt, seeds=[seed],
-                                       teachers=teachers).rows
+        pairs = [(condition, seed) for condition in CONDITIONS for seed in seeds]
+        for row, _ in experiment_rows(pairs, cfg, corrupt, teachers):
+            rows.append(row)
         finished = True
     finally:  # on any exception, keep the rows finished so far
         write_report_csv(rows, out_dir / "report.csv")

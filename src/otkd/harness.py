@@ -1,6 +1,8 @@
 """Desk-scale distillation experiment: synthetic box-corner scenes, a frozen
 teacher ensemble, and a small student keypoint regressor trained under
 combinations of supervised, prediction-level, and feature-level losses.
+Teacher members and report rows run on up to one forked process per core
+(`_map`), and no output depends on the core count.
 
 The scene "image" is a low-dimensional encoding rather than an RGB render:
 one Gaussian blob channel per model corner (amplitude falling off with
@@ -24,7 +26,7 @@ import json
 import logging
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,29 +190,22 @@ class TrainingConfig:
                 raise InvalidInput(f"{name} must be >= 0")
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidInput("lam must lie in [0, 1]")
-        if self.ensemble_size < 1:
-            raise InvalidInput("ensemble_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidInput("learning_rate must be > 0")
-        for name in ("epochs", "teacher_epochs", "train_scenes",
-                     "teacher_scenes", "eval_scenes", "student_channels",
-                     "teacher_channels"):
+        for name in ("ensemble_size", "epochs", "teacher_epochs",
+                     "train_scenes", "teacher_scenes", "eval_scenes",
+                     "student_channels", "teacher_channels"):
             if getattr(self, name) < 1:
                 raise InvalidInput(f"{name} must be >= 1")
         if not 1 <= self.num_keypoints <= NUM_CORNERS:
             raise InvalidInput(f"num_keypoints must be in [1, {NUM_CORNERS}]")
         if not (self.tau > 0 or np.isinf(self.tau)):
             raise InvalidInput("tau must be positive or infinite")
-        if not self.uncertainty_scale > 0:
-            raise InvalidInput("uncertainty_scale must be > 0")
-        if not self.teacher_error_threshold_px > 0:
-            raise InvalidInput("teacher_error_threshold_px must be > 0")
-        if not self.softmax_beta > 0:
-            raise InvalidInput("softmax_beta must be > 0")
+        for name in ("learning_rate", "uncertainty_scale",
+                     "teacher_error_threshold_px", "softmax_beta"):
+            if not getattr(self, name) > 0:
+                raise InvalidInput(f"{name} must be > 0")
         if not 0 <= self.corrupt_member < self.ensemble_size:
             raise InvalidInput("corrupt_member must index an ensemble member")
-        bad = [k for k in self.corrupt_keypoints
-               if not 0 <= k < NUM_CORNERS]
+        bad = [k for k in self.corrupt_keypoints if not 0 <= k < NUM_CORNERS]
         if bad:
             raise InvalidInput(f"corrupt_keypoints out of range: {bad}")
         nonfinite = [f.name for f in dataclasses.fields(self)  # tau may be inf
@@ -247,70 +242,63 @@ class DistillTargets:
     regions: np.ndarray              # (B, N, C_T, e, e) ensemble-mean regions
 
 
-def _blas_thread_calls():
-    """(get, set) of the thread count of the OpenBLAS that numpy calls, or
-    None when numpy's BLAS exports no such pair under a known name."""
+_job = None  # the function that `_call` applies, set before a pool forks
+
+
+def _call(item):
+    return _job(item)
+
+
+def _one_blas_thread():
+    """Holds a worker's OpenBLAS to one thread: on matmuls this small its
+    second thread mostly busy-waits, on the core that another worker needs."""
     import ctypes
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1.x
-        return None
+        return
     lib = ctypes.CDLL(_multiarray_umath.__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
-    return None
+    for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
-def _map_concurrently(fn: Callable, items: Sequence) -> list:
-    """`[fn(item) for item in items]`, with the calls run on up to one thread
-    per available core.
-
-    numpy's matmuls and ufuncs release the GIL, so the calls overlap.  On
-    matmuls this small OpenBLAS's own second thread mostly busy-waits, and
-    it would take the core that a second call needs: so numpy's OpenBLAS,
-    process-wide, is held to one thread while the calls run, and is then
-    restored.  With one item, one core or no known OpenBLAS thread-count
-    calls, the calls run inline.  Results come back in item order.  Once a
-    call raises, the calls not yet started are cancelled and the running
-    ones finish; then the first exception in item order is raised, as the
-    inline loop would raise it."""
+def _map(fn: Callable, items: Sequence) -> Iterator:
+    """Yields `fn(item)` for each item, in item order, from up to one forked
+    process per available core (inline with one item or core, or no fork).
+    Workers inherit `fn` and all it reads, so only items and results are
+    pickled.  A call's exception is raised at its item's place, as the inline
+    loop would raise it, and the items not yet queued for a worker are
+    cancelled; a worker that dies raises `BrokenProcessPool`."""
+    global _job
     workers = min(len(items), len(os.sched_getaffinity(0)))
-    blas = _blas_thread_calls() if workers > 1 else None
-    if blas is None:
-        return [fn(item) for item in items]
-    # imported here: it costs about 7 ms, and only a pool needs it
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-    get_threads, set_threads = blas
-    previous = get_threads()
-    set_threads(1)
+    if workers > 1:  # imported here: only a pool needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield from map(fn, items)
+        return
+    _job = fn
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
     try:
-        pool = ThreadPoolExecutor(workers)
-        try:
-            futures = [pool.submit(fn, item) for item in items]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        futures = [pool.submit(_call, item) for item in items]
+        for future in futures:
+            yield future.result()
     finally:
-        set_threads(previous)
-    # the queue is first in, first out, so every cancelled call comes after
-    # the call that raised
-    return [f.result() for f in futures]
+        pool.shutdown(cancel_futures=True)
+        _job = None
 
 
 def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
-    """Trains `ensemble_size` regressors from independent initializations on a
-    shared clean scene set, freezing each afterwards.  Members train
-    concurrently (`_map_concurrently`); each has its own generator, layers
-    and workspace and only reads the scenes, so no member depends on the
-    others or on the core count.  Raises TrainingDiverged for the first
-    member, in member order, that misses cfg.teacher_error_threshold_px on
-    held-out scenes."""
+    """`ensemble_size` regressors trained from independent initializations on
+    a shared clean scene set in forked workers (`_map`), then frozen.  Raises
+    TrainingDiverged for the first member, in member order, that misses
+    cfg.teacher_error_threshold_px on held-out scenes."""
     scenes = make_scenes(cfg.teacher_scenes, np.random.default_rng(2024 + cfg.seed))
     held_out = _held_out_scenes(cfg)
     spec = _spec(cfg, cfg.teacher_channels, NUM_CORNERS)
@@ -320,7 +308,8 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
     def member(e: int) -> ToyRegressor:
         member_seed = 10_000 + 97 * e + cfg.seed
         net = ToyRegressor(spec, np.random.default_rng(member_seed))
-        _train(net, scenes.cols, scenes.keypoints, None, sup, None)
+        _train(net, scenes.cols, scenes.keypoints, None, sup, None,
+               f"teacher seed {member_seed}")
         pred, _ = net.forward(held_out.cols)
         err = float(np.linalg.norm(pred - held_out.keypoints, axis=2).mean())
         if not err <= cfg.teacher_error_threshold_px:  # a NaN error fails too
@@ -331,7 +320,7 @@ def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
         net.drop_training_state()
         return net
 
-    return _map_concurrently(member, range(cfg.ensemble_size))
+    return list(_map(member, range(cfg.ensemble_size)))
 
 
 def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,
@@ -461,10 +450,11 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
 
 def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
            targets: DistillTargets | None, cfg: TrainingConfig,
-           projection: np.ndarray | None):
+           projection: np.ndarray | None, tag: str):
     """Plain fixed-step gradient descent on a scene batch (`Scenes.cols`);
-    logs the final loss parts and the capped solves.  Raises TrainingDiverged
-    if the final loss does not improve on the first."""
+    logs the final loss parts and the capped solves after `tag`, which names
+    the net.  Raises TrainingDiverged if the final loss does not improve on
+    the first."""
     warm = None
     initial = None
     solves = capped = iters = 0
@@ -488,7 +478,7 @@ def _train(student: ToyRegressor, cols: np.ndarray, keypoints_px: np.ndarray,
     if solves:
         line += (f"; {capped} of {solves} transport solves stopped at the "
                  f"{_SOLVE_CAP}-iteration cap, {iters} iterations in all")
-    log.info("final loss %s", line)
+    log.info("%s: final loss %s", tag, line)
     if not res.loss < initial:
         raise TrainingDiverged(
             f"loss failed to improve: initial {initial!r}, final {res.loss!r}")
@@ -534,18 +524,17 @@ def _condition_config(condition: str, cfg: TrainingConfig) -> TrainingConfig:
     return dataclasses.replace(cfg, **_CONDITION_OVERRIDES[condition])
 
 
-def _train_one_seed(cfg: TrainingConfig, seed: int,
+def _train_one_seed(condition: str, cfg: TrainingConfig, seed: int,
                     teachers: list[ToyRegressor], corrupt_teacher: bool):
     """Trains one student under a condition's config (`_condition_config`);
     returns (student, per-keypoint mean u or None)."""
+    cfg = _condition_config(condition, cfg)
     rng = np.random.default_rng(seed)
     scenes = make_scenes(cfg.train_scenes, rng)
     kps = scenes.keypoints[:, :cfg.num_keypoints]
     labels = kps + rng.normal(0.0, cfg.label_noise_px, kps.shape)
 
-    u_mean = None
-    targets = None
-    projection = None
+    u_mean = targets = projection = None
     if cfg.gamma_p > 0 or cfg.gamma_f > 0:
         corrupt_rng = np.random.default_rng(seed + 77) if corrupt_teacher else None
         targets = prepare_targets(teachers, scenes.cols, cfg, corrupt_rng)
@@ -556,7 +545,8 @@ def _train_one_seed(cfg: TrainingConfig, seed: int,
 
     student = ToyRegressor(_spec(cfg, cfg.student_channels, cfg.num_keypoints),
                            np.random.default_rng(seed + 1000))
-    _train(student, scenes.cols, labels, targets, cfg, projection)
+    _train(student, scenes.cols, labels, targets, cfg, projection,
+           f"{condition} seed {seed}")
     return student, u_mean
 
 
@@ -567,13 +557,13 @@ def check_pose_evaluation(cfg: TrainingConfig) -> None:
 
 
 def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
-                     scenes: Scenes) -> dict[str, float]:
+                     scenes: Scenes, tag: str) -> dict[str, float]:
     """Keypoint error, ADD-0.1d hit rate, and median pose errors from solving
     PnP on the student's predictions.  A scene whose solve degenerates counts
     as a miss with worst-case pose error; that keeps evaluation total even for
     badly undertrained students.  An unconverged one is scored as it stands,
     and so is a converged one that reprojects worse than the image size; both
-    are counted in the log."""
+    are counted in the log, after `tag`, which names the student."""
     kps_gt = scenes.keypoints[:, :cfg.num_keypoints]
     preds, _ = student.forward(scenes.cols)
     preds = np.asarray(preds, dtype=float)
@@ -595,8 +585,8 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
         off_image += result.converged and result.reprojection_rms > IMAGE_SIZE
         e_t, e_r, _ = pose_errors(result.pose, gt_pose)
         scores.append((add_01d_hit(model, result.pose, gt_pose), e_r, e_t))
-    log.info("%d of %d pose solves stopped unconverged, %d degenerate, "
-             "%d converged at a reprojection RMS above %g px",
+    log.info("%s: %d of %d pose solves stopped unconverged, %d degenerate, "
+             "%d converged at a reprojection RMS above %g px", tag,
              unconverged, len(scores), degenerate, off_image, IMAGE_SIZE)
     hits, e_rs, e_ts = zip(*scores)
     return {"kpt_err_px": kpt_err,
@@ -605,33 +595,42 @@ def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,
             "e_t_m": float(np.median(e_ts))}
 
 
+def _report_row(condition: str, seed: int, cfg: TrainingConfig,
+                corrupt_teacher: bool, teachers: list[ToyRegressor],
+                held_out: Scenes) -> tuple[ReportRow, np.ndarray | None]:
+    """One student trained and scored: (row, per-keypoint mean u or None)."""
+    start = time.perf_counter()
+    student, u_mean = _train_one_seed(condition, cfg, seed, teachers,
+                                      corrupt_teacher)
+    metrics = evaluate_student(student, cfg, held_out, f"{condition} seed {seed}")
+    wall_ms = int(round(1000 * (time.perf_counter() - start)))
+    return ReportRow(condition=condition, seed=seed, epochs=cfg.epochs,
+                     wall_ms=wall_ms, **metrics), u_mean
+
+
+def experiment_rows(pairs: Sequence[tuple[str, int]], cfg: TrainingConfig,
+                    corrupt_teacher: bool, teachers: list[ToyRegressor]
+                    ) -> Iterator[tuple[ReportRow, np.ndarray | None]]:
+    """Yields (row, per-keypoint mean u or None) for each (condition, seed)
+    pair, in pair order, from students trained in forked workers (`_map`)
+    against `teachers`, the ensemble from `make_teacher_ensemble(cfg)`.  The
+    seed drives student scenes, label noise, initialization and the
+    corruption draw, so no row depends on the others or the core count."""
+    check_pose_evaluation(cfg)
+    held_out = _held_out_scenes(cfg)
+    yield from _map(lambda pair: _report_row(*pair, cfg, corrupt_teacher,
+                                             teachers, held_out), pairs)
+
+
 def run_experiment(condition: str, cfg: TrainingConfig,
                    corrupt_teacher: bool = False, *, seeds: list[int],
                    teachers: list[ToyRegressor]) -> ExperimentReport:
-    """Trains and evaluates one condition over `seeds` against `teachers`,
-    the ensemble from `make_teacher_ensemble(cfg)`.
-
-    The teacher ensemble and the evaluation split depend only on cfg.seed, so
-    they are shared by every row and every condition.  Per-row seeds drive
-    student scenes, label noise, student initialization, and the corruption
-    draw.
-    """
-    eff = _condition_config(condition, cfg)
-    check_pose_evaluation(cfg)
-    held_out = _held_out_scenes(cfg)
-    rows = []
-    uncertainty = {}
-    for seed in seeds:
-        start = time.perf_counter()
-        student, u_mean = _train_one_seed(eff, seed, teachers, corrupt_teacher)
-        metrics = evaluate_student(student, cfg, held_out)
-        wall_ms = int(round(1000 * (time.perf_counter() - start)))
-        rows.append(ReportRow(condition=condition, seed=seed,
-                              epochs=cfg.epochs, wall_ms=wall_ms, **metrics))
-        if u_mean is not None:
-            uncertainty[seed] = u_mean
-    return ExperimentReport(condition=condition, rows=rows,
-                            uncertainty=uncertainty,
+    """One condition's rows over `seeds` (`experiment_rows`)."""
+    out = list(experiment_rows([(condition, seed) for seed in seeds], cfg,
+                               corrupt_teacher, teachers))
+    return ExperimentReport(condition=condition, rows=[row for row, _ in out],
+                            uncertainty={row.seed: u for row, u in out
+                                         if u is not None},
                             corrupt_keypoints=tuple(cfg.corrupt_keypoints)
                             if corrupt_teacher else ())
 

@@ -2,16 +2,18 @@
 exact row-level agreement with the in-process experiment loop."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import run_cli, strip_wall_ms
-from otkd import __version__, cli
+from conftest import SRC, run_cli, strip_wall_ms
+from otkd import __version__, cli, harness
 from otkd.errors import DegenerateGeometry
 from otkd.geometry import Model3D, Pose, pose_errors, project
 from otkd.harness import (CONDITIONS, CSV_HEADER, box_model, default_camera,
-                          make_teacher_ensemble, run_experiment, sample_pose)
+                          make_teacher_ensemble, sample_pose)
 from test_harness import nan_keypoints
 from test_sinkhorn import lp_transport_cost
 
@@ -225,17 +227,18 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
     def test_any_failure_keeps_finished_rows(self, tmp_path, monkeypatch,
                                              capsys, exc):
+        # the second row fails in a worker; its exception reaches the CLI
         cfgfile = tmp_path / "tiny.cfg"
         cfgfile.write_text(TINY_CFG)
-        calls = []
+        report_row = harness._report_row
 
-        def fail_second_call(*args, **kwargs):
-            calls.append(args[0])
-            if len(calls) == 2:
+        def fail_second_row(condition, *args):
+            if condition == CONDITIONS[1]:
                 raise exc("injected")
-            return run_experiment(*args, **kwargs)
+            return report_row(condition, *args)
 
-        monkeypatch.setattr(cli, "run_experiment", fail_second_call)
+        monkeypatch.setattr(harness, "_report_row", fail_second_row)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "out"
         with pytest.raises(exc):
             cli.main(["experiment", "--config", str(cfgfile), "--out", str(out)])
@@ -245,6 +248,57 @@ class TestExperimentCommand:
         assert (out / "manifest.json").exists()
         assert not (out / "summary.json").exists()
         assert "partial results" in capsys.readouterr().err
+
+    def test_dead_worker_keeps_finished_rows(self, tmp_path):
+        # the second row's worker exits once the first row is back: the run
+        # raises instead of waiting on it, and keeps the first row
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CFG)
+        out, marker = tmp_path / "out", tmp_path / "first-row-done"
+        code = f"""
+import os, sys, time
+from otkd import cli, harness
+report_row = harness._report_row
+def row(condition, *args):
+    if condition == "uniformOT":
+        while not os.path.exists({str(marker)!r}):
+            time.sleep(0.01)
+        time.sleep(0.5)  # the first row's result is in the pipe by now
+        os._exit(9)
+    result = report_row(condition, *args)
+    open({str(marker)!r}, "w").close()
+    return result
+harness._report_row = row
+os.sched_getaffinity = lambda pid: {{0, 1}}
+sys.exit(cli.main(["experiment", "--config", {str(cfgfile)!r},
+                   "--out", {str(out)!r}]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert res.returncode == 1
+        assert "BrokenProcessPool" in res.stderr
+        assert "partial results" in res.stderr
+        lines = (out / "report.csv").read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["noKD"]
+        assert (out / "manifest.json").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_info_lines_name_their_row(self, tmp_path):
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(TINY_CFG + "num_seeds = 2\n")
+        res = run_cli("experiment", "--config", str(cfgfile),
+                      "--out", str(tmp_path / "out"),
+                      env=dict(os.environ, OTKD_LOG="info"))
+        assert res.returncode == 0, res.stderr
+        final = [ln.split(": ", 1)[1] for ln in res.stderr.splitlines()
+                 if ": final loss " in ln]
+        rows = [f"{c} seed {s}" for c in CONDITIONS for s in (0, 1)]
+        teachers = [f"teacher seed {10_000 + 97 * e}" for e in range(2)]
+        assert sorted(ln.split(": ")[0] for ln in final) == sorted(teachers + rows)
+        pose = [ln.split(": ", 1)[1] for ln in res.stderr.splitlines()
+                if " pose solves " in ln]
+        assert sorted(ln.split(": ")[0] for ln in pose) == sorted(rows)
 
     def test_nonfinite_teacher_exits_diverged(self, tmp_path, monkeypatch, capsys):
         cfgfile = tmp_path / "tiny.cfg"

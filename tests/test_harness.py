@@ -6,7 +6,6 @@ import logging
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -240,7 +239,7 @@ class TestTeachers:
 
 def serial_members(cfg):
     """`make_teacher_ensemble`'s members trained one after another in this
-    thread: (parameter bytes, held-out error repr) per member."""
+    process: (parameter bytes, held-out error repr) per member."""
     scenes = make_scenes(cfg.teacher_scenes, np.random.default_rng(2024 + cfg.seed))
     held_out = make_scenes(cfg.eval_scenes, np.random.default_rng(2025 + cfg.seed))
     sup = dataclasses.replace(cfg, gamma_p=0.0, gamma_f=0.0,
@@ -249,63 +248,50 @@ def serial_members(cfg):
     for e in range(cfg.ensemble_size):
         net = ToyRegressor(_spec(cfg, cfg.teacher_channels, NUM_CORNERS),
                            np.random.default_rng(10_000 + 97 * e + cfg.seed))
-        _train(net, scenes.cols, scenes.keypoints, None, sup, None)
+        _train(net, scenes.cols, scenes.keypoints, None, sup, None, "member")
         pred, _ = net.forward(held_out.cols)
         err = float(np.linalg.norm(pred - held_out.keypoints, axis=2).mean())
         out.append(([p.tobytes() for p in net.parameters()], repr(err)))
     return out
 
 
-BLAS = harness._blas_thread_calls()
-needs_blas = pytest.mark.skipif(BLAS is None, reason="numpy's BLAS exports no "
-                                "OpenBLAS thread-count calls, so jobs run inline")
-
-
-@pytest.fixture
 def blas_threads():
-    """The getter of numpy's OpenBLAS thread count, which is set to two, not
-    the one that a pool holds it to, for the test and restored after it."""
-    get_threads, set_threads = BLAS
-    previous = get_threads()
-    set_threads(2)
-    yield get_threads
-    set_threads(previous)
+    """This process's OpenBLAS thread count, read through the getter that
+    numpy's OpenBLAS exports beside the setter `_map`'s workers call."""
+    import ctypes
+    from numpy._core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                return get()
+    pytest.skip("numpy's BLAS exports no OpenBLAS thread-count calls")
 
 
-@needs_blas
+def set_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def row_bytes(rows):
+    """(row minus wall_ms, uncertainty bytes) per row."""
+    return [(dataclasses.replace(row, wall_ms=0),
+             None if u is None else u.tobytes()) for row, u in rows]
+
+
 class TestConcurrentMembers:
-    """Members train as concurrent jobs with OpenBLAS held to one thread; the
-    ensemble must not tell, whatever the core count."""
+    """Members and rows run concurrently on forked workers (`harness._map`);
+    no output may depend on the worker count."""
 
-    def test_ensemble_is_the_serial_loop(self, monkeypatch, blas_threads):
-        # four members on three workers, one more than this box's two cores,
-        # so a job queues and the threads switch often
+    def test_ensemble_is_the_serial_loop(self, monkeypatch):
+        # four members; three workers is one more than this box's two cores
         cfg = dataclasses.replace(TINY, ensemble_size=4)
         expected = serial_members(cfg)
-        get_threads = blas_threads
-        threads, blas_counts = set(), set()
-        train = harness._train
-
-        def recorded(*args):
-            threads.add(threading.get_ident())
-            blas_counts.add(get_threads())
-            train(*args)
-
-        monkeypatch.setattr(harness, "_train", recorded)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            start = time.perf_counter()
+        for count in (1, 2, 3):
+            set_cores(monkeypatch, count)
             teachers = make_teacher_ensemble(cfg)
-            assert time.perf_counter() - start < 60
-        finally:
-            sys.setswitchinterval(interval)
-        assert [([p.tobytes() for p in t.parameters()], repr(t.held_out_error_px))
-                for t in teachers] == expected
-        assert len(threads) > 1 and threading.get_ident() not in threads
-        assert blas_counts == {1}
-        assert get_threads() == 2
+            assert [([p.tobytes() for p in t.parameters()],
+                     repr(t.held_out_error_px)) for t in teachers] == expected
 
         # a threshold that some members miss: the message names the first
         # in member order, as the serial loop's does
@@ -313,19 +299,46 @@ class TestConcurrentMembers:
         threshold = (errors[1] + errors[2]) / 2
         first = next(e for e, (_, err) in enumerate(expected)
                      if float(err) > threshold)
-        message = (f"teacher seed {10_000 + 97 * first + cfg.seed}: held-out "
-                   f"error {float(expected[first][1]):.2f}px is not within "
-                   f"{threshold}px")
+        set_cores(monkeypatch, 2)
         with pytest.raises(TrainingDiverged) as err:
             make_teacher_ensemble(dataclasses.replace(
                 cfg, teacher_error_threshold_px=threshold))
-        assert str(err.value) == message
-        assert get_threads() == 2
+        assert str(err.value) == (
+            f"teacher seed {10_000 + 97 * first + cfg.seed}: held-out error "
+            f"{float(expected[first][1]):.2f}px is not within {threshold}px")
+
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                    tiny_teachers):
+        # each worker has its own copy of the teachers' workspaces and caches
+        cfg = dataclasses.replace(TINY, gamma_f=1.0)
+        pairs = [(c, s) for c in ("UAKD", "UAKD+PFKD") for s in (0, 1, 2)]
+        runs = []
+        for count in (1, 2):
+            set_cores(monkeypatch, count)
+            runs.append(row_bytes(harness.experiment_rows(
+                pairs, cfg, True, tiny_teachers)))
+        assert [(r.condition, r.seed) for r, _ in runs[0]] == pairs
+        assert runs[0] == runs[1]
+
+    def test_workers_hold_blas_to_one_thread(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        parent = blas_threads()
+        assert list(harness._map(lambda i: blas_threads(), range(3))) == [1] * 3
+        assert blas_threads() == parent
+
+        def job(i):
+            if i == 1:
+                raise KeyError("item 1")
+            return i
+
+        with pytest.raises(KeyError):
+            list(harness._map(job, range(3)))
+        assert blas_threads() == parent
 
     def test_first_failure_in_item_order_is_raised(self, monkeypatch):
         # item 2 fails first in time, item 1 later; the inline loop would
         # raise item 1's
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        set_cores(monkeypatch, 2)
 
         def job(i):
             if i == 1:
@@ -335,66 +348,44 @@ class TestConcurrentMembers:
             return i
 
         with pytest.raises(ValueError, match="item 1"):
-            harness._map_concurrently(job, range(4))
+            list(harness._map(job, range(4)))
 
-    def test_pending_jobs_are_cancelled(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        started = set()
+    def test_pending_jobs_are_cancelled(self, monkeypatch, tmp_path):
+        set_cores(monkeypatch, 2)
 
         def job(i):
-            started.add(i)
+            (tmp_path / str(i)).touch()
             if i == 0:
                 time.sleep(0.05)
                 raise RuntimeError("item 0")
-            time.sleep(0.3)
+            time.sleep(0.5)
 
-        start = time.perf_counter()
         with pytest.raises(RuntimeError, match="item 0"):
-            harness._map_concurrently(job, range(8))
-        # the worker freed by item 0 may take item 2 before the cancel
-        assert started <= {0, 1, 2}
-        assert time.perf_counter() - start < 1.0
-
-    @pytest.mark.parametrize("outcome", [None, TrainingDiverged, KeyError])
-    def test_blas_threads_are_restored(self, monkeypatch, blas_threads,
-                                       outcome):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        get_threads = blas_threads
-        inside = []
-
-        def job(i):
-            inside.append(get_threads())
-            if outcome is not None and i == 1:
-                raise outcome("job failed")
-            return i
-
-        if outcome is None:
-            assert harness._map_concurrently(job, range(3)) == [0, 1, 2]
-        else:
-            with pytest.raises(outcome):
-                harness._map_concurrently(job, range(3))
-        assert inside and set(inside) == {1}
-        assert get_threads() == 2
+            list(harness._map(job, range(8)))
+        # the pool keeps three items queued for its two workers, and refills
+        # the queue once when item 0 returns; the rest are cancelled
+        assert {int(p.name) for p in tmp_path.iterdir()} <= set(range(6))
 
     @pytest.mark.parametrize("cores,items", [({0}, 3), ({0, 1}, 1)])
     def test_runs_inline_without_a_second_job_or_core(self, monkeypatch,
-                                                      blas_threads, cores, items):
+                                                      cores, items):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-        get_threads = blas_threads
-        seen = []
+        assert list(harness._map(lambda i: os.getpid(), range(items))) == (
+            [os.getpid()] * items)
 
-        def job(i):
-            seen.append((threading.get_ident(), get_threads()))
-            return i
-
-        assert harness._map_concurrently(job, range(items)) == list(range(items))
-        assert seen == [(threading.get_ident(), 2)] * items
+    def test_runs_inline_without_fork(self, monkeypatch):
+        import multiprocessing
+        set_cores(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        assert list(harness._map(lambda i: os.getpid(), range(3))) == (
+            [os.getpid()] * 3)
 
 
 def test_importing_the_package_starts_no_pool_module():
-    # the pool's module is imported where a pool starts, not with the CLI
-    code = ("import sys, otkd.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    # the pool's modules are imported where a pool starts, not with the CLI
+    code = ("import sys, otkd.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))")
     env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
@@ -664,7 +655,7 @@ class TestTrainLoop:
         cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0, epochs=30)
         student, x, labels = _student_and_batch(cfg)
         before = total_loss(student, x, labels, None, cfg, None, None).loss
-        _train(student, x, labels, None, cfg, None)
+        _train(student, x, labels, None, cfg, None, "student")
         assert total_loss(student, x, labels, None, cfg, None, None).loss < before
 
     def test_divergence_raises(self):
@@ -672,10 +663,10 @@ class TestTrainLoop:
         # converge first, then take steps far too large to stay there
         cfg = dataclasses.replace(TINY, gamma_p=0.0, gamma_f=0.0, epochs=40)
         student, x, labels = _student_and_batch(cfg)
-        _train(student, x, labels, None, cfg, None)
+        _train(student, x, labels, None, cfg, None, "student")
         wild = dataclasses.replace(cfg, epochs=5, learning_rate=50.0)
         with pytest.raises(TrainingDiverged, match="improve"):
-            _train(student, x, labels, None, wild, None)
+            _train(student, x, labels, None, wild, None, "student")
 
     def test_capped_solves_are_logged(self, monkeypatch, caplog):
         # every other solve reports a hit cap; the final evaluation counts too
@@ -691,23 +682,24 @@ class TestTrainLoop:
 
         monkeypatch.setattr(harness, "sinkhorn_unbalanced_batch", solver)
         with caplog.at_level(logging.INFO, logger="otkd"):
-            _train(student, x, labels, targets, cfg, None)
-            _train(student, x, labels, None, cfg, None)  # no transport
+            _train(student, x, labels, targets, cfg, None, "UAKD seed 3")
+            _train(student, x, labels, None, cfg, None, "noKD seed 4")  # no transport
         final = total_loss(student, x, labels, None, cfg, None, None)
         assert len(calls) == 4
-        assert caplog.messages[0].startswith("final loss kpt ")
+        assert caplog.messages[0].startswith("UAKD seed 3: final loss kpt ")
         assert caplog.messages[0].endswith(
             ", feat 0; 2 of 4 transport solves stopped at the 200-iteration "
             f"cap, {sum(calls)} iterations in all")
         # the supervised run logs the parts of its last evaluation
-        assert caplog.messages[1] == f"final loss kpt {final.parts['kpt']:.6g}, pred 0, feat 0"
+        assert caplog.messages[1] == (
+            f"noKD seed 4: final loss kpt {final.parts['kpt']:.6g}, pred 0, feat 0")
 
     def test_training_cannot_tell_the_solve_from_the_log_domain_loop(
             self, monkeypatch, tiny_teachers):
         # the batched solve keeps the log-domain loop's iterates to float64
         # rounding, below what float32 training can see; a plan change it
         # can see would reshuffle the report rows
-        cfg = _condition_config("UAKD+PFKD", dataclasses.replace(TINY, epochs=30))
+        cfg = dataclasses.replace(TINY, epochs=30)
         runs = []
         for solver in (sinkhorn_unbalanced_batch, log_domain_batch):
             iterations = []
@@ -718,7 +710,7 @@ class TestTrainLoop:
                 return out
 
             monkeypatch.setattr(harness, "sinkhorn_unbalanced_batch", recorded)
-            student, _ = _train_one_seed(cfg, 3, tiny_teachers, True)
+            student, _ = _train_one_seed("UAKD+PFKD", cfg, 3, tiny_teachers, True)
             runs.append((iterations,
                          [p.tobytes() for p in student.parameters()]))
         assert len(runs[0][0]) == cfg.epochs + 1  # warm-started solves
@@ -728,10 +720,8 @@ class TestTrainLoop:
     def test_nokd_equals_uniform_with_zero_gammas(self, tiny_teachers):
         base = dataclasses.replace(TINY, epochs=25)
         zeroed = dataclasses.replace(base, gamma_p=0.0, gamma_f=0.0)
-        s1, _ = _train_one_seed(_condition_config("noKD", base), 7,
-                                tiny_teachers, False)
-        s2, _ = _train_one_seed(_condition_config("uniformOT", zeroed), 7,
-                                tiny_teachers, False)
+        s1, _ = _train_one_seed("noKD", base, 7, tiny_teachers, False)
+        s2, _ = _train_one_seed("uniformOT", zeroed, 7, tiny_teachers, False)
         for p1, p2 in zip(s1.parameters(), s2.parameters()):
             assert np.array_equal(p1, p2)
 
@@ -810,9 +800,10 @@ CHANNELS_FIRST = {"_encode": channels_first_encode,
 def test_training_cannot_tell_the_layout(monkeypatch):
     # teachers and a PFKD student with a live feature term; every loss and
     # gradient of every epoch, the projection included, and the end state
-    # must keep their bytes; members train concurrently, so each net's
-    # epochs are recorded apart from the others'
+    # must keep their bytes; members train inline on one core, so that this
+    # process records their epochs, each net's apart from the others'
     cfg = dataclasses.replace(TINY, gamma_f=1.0, epochs=20)
+    set_cores(monkeypatch, 1)
     runs = []
     for patches in (CHANNELS_FIRST, {}):
         epochs = {}
@@ -832,8 +823,7 @@ def test_training_cannot_tell_the_layout(monkeypatch):
             loss_fn = harness.total_loss
             mp.setattr(harness, "total_loss", recorded)
             teachers = make_teacher_ensemble(cfg)
-            student, _ = _train_one_seed(_condition_config("PFKD", cfg), 0,
-                                         teachers, True)
+            student, _ = _train_one_seed("PFKD", cfg, 0, teachers, True)
         runs.append(([epochs[net] for net in (*teachers, student)],
                      [t.held_out_error_px for t in teachers],
                      [p.tobytes() for p in student.parameters()]))
@@ -921,9 +911,10 @@ class TestExperiment:
         monkeypatch.setattr(harness, "pnp_solve", solver)
         with caplog.at_level(logging.INFO, logger="otkd"):
             metrics = evaluate_student(student, TINY,
-                                       make_scenes(6, np.random.default_rng(0)))
+                                       make_scenes(6, np.random.default_rng(0)),
+                                       "noKD seed 0")
         assert caplog.messages == [
-            "3 of 6 pose solves stopped unconverged, 1 degenerate, "
+            "noKD seed 0: 3 of 6 pose solves stopped unconverged, 1 degenerate, "
             "1 converged at a reprojection RMS above 64 px"]
         # unconverged poses are scored as they stand, a degenerate one as a miss
         assert np.isfinite(metrics["e_t_m"])

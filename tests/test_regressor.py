@@ -571,7 +571,8 @@ def test_training_cannot_tell_the_conv_from_its_reference():
     runs = []
     for cls in (ReferenceRegressor, ToyRegressor):
         net = cls(spec, np.random.default_rng(6))
-        harness._train(net, scenes.cols, scenes.keypoints, None, cfg, None)
+        harness._train(net, scenes.cols, scenes.keypoints, None, cfg, None,
+                       "teacher")
         kps, _ = net.forward(scenes.cols)
         runs.append([p.tobytes() for p in net.parameters()] + [kps.tobytes()])
     assert type(net.backbone) is Backbone and type(net.head[0]) is Conv2d
