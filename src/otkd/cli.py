@@ -4,9 +4,11 @@ Subcommands: `sinkhorn` (solve a transport instance from CSV files),
 `experiment` (run the distillation experiment, write reports), and `pnp`
 (solve a pose from a correspondence file).
 
-Exit codes: 0 success, 1 a flag or command mistake, 2 a Sinkhorn or PnP
-solve that stopped unconverged.  A toolkit error prints one `error:` line and
-exits with its class's `exit_code`, as `otkd.errors` lists them.
+Exit codes: 0 success, 2 a Sinkhorn or PnP solve that stopped unconverged.
+A toolkit error prints one `error:` line and exits with its class's
+`exit_code`, as `otkd.errors` lists them; a flag or command mistake prints
+the usage first and is an `InvalidInput`.  Input rules are the library's
+(`TrainingConfig`, `SinkhornConfig`, `pnp.MIN_POINTS`); the CLI restates none.
 `experiment` runs teacher members and report rows on up to one forked
 process per core (`harness._map`).  On any failure, Ctrl-C and a dead worker
 included, it writes the rows a serial loop would have finished, then
@@ -32,13 +34,12 @@ from .geometry import CameraIntrinsics, KeypointSet
 from .harness import (CONDITIONS, TrainingConfig, check_pose_evaluation,
                       experiment_rows, make_teacher_ensemble, write_report_csv,
                       write_report_json)
-from .pnp import Correspondences, pnp_solve
+from .pnp import MIN_POINTS, Correspondences, pnp_solve
 from .sinkhorn import default_config, plan_residuals, sinkhorn_unbalanced
 
 log = logging.getLogger("otkd")
 
 EXIT_OK = 0
-EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
 
@@ -159,10 +160,6 @@ def cmd_sinkhorn(args) -> int:
     cost = _read_matrix(args.cost)
     alpha_s = _read_vector(args.alpha_s)
     alpha_t = _read_vector(args.alpha_t)
-    if alpha_s.size != cost.shape[0] or alpha_t.size != cost.shape[1]:
-        raise InvalidInput(
-            f"dimension mismatch: cost is {cost.shape[0]}x{cost.shape[1]}, "
-            f"weights are {alpha_s.size} and {alpha_t.size}")
     overrides = {name: getattr(args, name) for name in _SINKHORN_FLAGS
                  if getattr(args, name) is not None}
     if args.no_anneal:
@@ -216,9 +213,9 @@ def _read_correspondences(path: str, cam: CameraIntrinsics) -> Correspondences:
     if data.shape[1] not in (5, 6):
         raise InvalidInput(
             f"{path}: expected 5 or 6 columns (u v X Y Z [w]), got {data.shape[1]}")
-    if data.shape[0] < 6:
-        raise InvalidInput(
-            f"{path}: need at least 6 correspondences, got {data.shape[0]}")
+    if data.shape[0] < MIN_POINTS:
+        raise InvalidInput(f"{path}: need at least {MIN_POINTS} correspondences, "
+                           f"got {data.shape[0]}")
     weights = data[:, 5] if data.shape[1] == 6 else None
     return Correspondences(points2d=KeypointSet(data[:, :2]), points3d=data[:, 2:5],
                            cam=cam, weights=weights)
@@ -245,13 +242,13 @@ def cmd_pnp(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; 2 means numeric failure here, so
-    remap flag/command mistakes onto the usage exit code."""
+    """argparse exits 2 on usage errors; 2 means numeric failure here, so a
+    flag or command mistake prints the usage and raises InvalidInput, which
+    `main` reports as it reports any other."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise InvalidInput(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,9 +301,8 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, os.environ.get("OTKD_LOG", "warning").upper(),
                       logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except OtkdError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .geometry import (CameraIntrinsics, KeypointSet, Model3D, Pose, add_01d_hit
                        pairwise_distance, pose_errors, project)
 from .pfkd import (extract_regions, init_projection, receptive_field_extent,
                    region_loss, scatter_region_grads)
-from .pnp import Correspondences, pnp_solve
+from .pnp import MIN_POINTS, Correspondences, pnp_solve
 from .regressor import _DT, RegressorSpec, ToyRegressor, backbone_columns
 from .sinkhorn import default_epsilon, sinkhorn_unbalanced_batch
 from .uakd import transport_loss
@@ -197,10 +197,8 @@ class TrainingConfig:
                 raise InvalidInput(f"{name} must be >= 1")
         if not 1 <= self.num_keypoints <= NUM_CORNERS:
             raise InvalidInput(f"num_keypoints must be in [1, {NUM_CORNERS}]")
-        if not (self.tau > 0 or np.isinf(self.tau)):
-            raise InvalidInput("tau must be positive or infinite")
         for name in ("learning_rate", "uncertainty_scale",
-                     "teacher_error_threshold_px", "softmax_beta"):
+                     "teacher_error_threshold_px", "softmax_beta", "tau"):
             if not getattr(self, name) > 0:
                 raise InvalidInput(f"{name} must be > 0")
         if not 0 <= self.corrupt_member < self.ensemble_size:
@@ -208,6 +206,9 @@ class TrainingConfig:
         bad = [k for k in self.corrupt_keypoints if not 0 <= k < NUM_CORNERS]
         if bad:
             raise InvalidInput(f"corrupt_keypoints out of range: {bad}")
+        if len(set(self.corrupt_keypoints)) < len(self.corrupt_keypoints):
+            raise InvalidInput(f"corrupt_keypoints repeats a keypoint: "
+                               f"{list(self.corrupt_keypoints)}")
         nonfinite = [f.name for f in dataclasses.fields(self)  # tau may be inf
                      if f.type == "float" and f.name != "tau"
                      and not np.isfinite(getattr(self, f.name))]
@@ -271,8 +272,9 @@ def _map(fn: Callable, items: Sequence) -> Iterator:
     """Yields `fn(item)` for each item, in item order, from up to one forked
     process per available core (inline with one item or core, or no fork).
     Workers inherit `fn` and all it reads, so only items and results are
-    pickled.  A call's exception is raised at its item's place, as the inline
-    loop would raise it, and the items not yet queued for a worker are
+    pickled.  The executor's own `map` submits every item: a call's exception
+    is raised at its item's place, as the inline loop would raise it, and
+    when the consumer stops, the items not yet queued for a worker are
     cancelled; a worker that dies raises `BrokenProcessPool`."""
     global _job
     workers = min(len(items), len(os.sched_getaffinity(0)))
@@ -283,14 +285,11 @@ def _map(fn: Callable, items: Sequence) -> Iterator:
         yield from map(fn, items)
         return
     _job = fn
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_one_blas_thread)
     try:
-        futures = [pool.submit(_call, item) for item in items]
-        for future in futures:
-            yield future.result()
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            yield from pool.map(_call, items)
     finally:
-        pool.shutdown(cancel_futures=True)
         _job = None
 
 
@@ -552,8 +551,8 @@ def _train_one_seed(condition: str, cfg: TrainingConfig, seed: int,
 
 def check_pose_evaluation(cfg: TrainingConfig) -> None:
     """Raises InvalidInput unless PnP can score the student's keypoints."""
-    if cfg.num_keypoints < 6:
-        raise InvalidInput("pose evaluation needs num_keypoints >= 6")
+    if cfg.num_keypoints < MIN_POINTS:
+        raise InvalidInput(f"pose evaluation needs num_keypoints >= {MIN_POINTS}")
 
 
 def evaluate_student(student: ToyRegressor, cfg: TrainingConfig,

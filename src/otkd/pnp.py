@@ -16,7 +16,7 @@ from .errors import DegenerateGeometry, InvalidInput
 from .geometry import (CameraIntrinsics, KeypointSet, Pose, pinhole,
                        rotation_from_axis_angle)
 
-_MIN_POINTS = 6  # unconstrained 12-parameter DLT needs 6 generic points
+MIN_POINTS = 6  # unconstrained 12-parameter DLT needs 6 generic points
 _MAX_ITERS = 100  # Gauss-Newton steps
 _TOL = 1e-10  # converged once a step moves the pose by less than this
 
@@ -150,9 +150,9 @@ def pnp_solve(c: Correspondences) -> PnpResult:
     n = p3.shape[0]
     w = np.ones(n) if c.weights is None else c.weights
     active = w > 0
-    if int(active.sum()) < _MIN_POINTS:
+    if int(active.sum()) < MIN_POINTS:
         raise DegenerateGeometry(
-            f"need >= {_MIN_POINTS} positively weighted correspondences, "
+            f"need >= {MIN_POINTS} positively weighted correspondences, "
             f"got {int(active.sum())}")
     centered = p3[active] - p3[active].mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9) < 3:

@@ -107,7 +107,7 @@ class Conv2d:
         self._cols = None
 
     def spec(self) -> ConvLayerSpec:
-        return ConvLayerSpec(kernel=self.kernel, stride=1)
+        return ConvLayerSpec(kernel=self.kernel)
 
     def columns(self, x: np.ndarray) -> np.ndarray:
         """(B, H, W, C_in) input -> the columns `forward` takes.
@@ -180,7 +180,7 @@ class RegressorSpec:
     num_keypoints: int
     grid: int            # feature/score maps are grid x grid
     image_size: float    # square image side in pixels
-    softmax_beta: float = 5.0
+    softmax_beta: float
 
     @property
     def delta(self) -> float:

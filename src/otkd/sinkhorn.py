@@ -100,7 +100,8 @@ def _check_marginals(cost, alpha_s, alpha_t, ndim: int = 2):
     b = np.asarray(alpha_t, dtype=float)
     if a.size != math.prod(lead) * M or b.size != math.prod(lead) * N:
         raise InvalidInput(
-            f"marginals of {a.size} and {b.size} entries vs cost {C.shape}")
+            f"dimension mismatch: marginals of {a.size} and {b.size} entries "
+            f"vs cost {C.shape}")
     a = a.reshape(lead + (M,))
     b = b.reshape(lead + (N,))
     if not (np.isfinite(a).all() and np.isfinite(b).all()

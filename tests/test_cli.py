@@ -109,7 +109,9 @@ class TestSinkhornCommand:
                                 np.full(3, 1 / 3), np.full(2, 0.5))
         res = run_cli("sinkhorn", *paths)
         assert res.returncode == 1
-        assert "dimension mismatch" in res.stderr
+        # the solver's own marginal check, naming both counts and the shape
+        assert ("error: dimension mismatch: marginals of 3 and 2 entries "
+                "vs cost (2, 2)") in res.stderr
 
     def test_overflowing_cost_names_its_scale(self, tmp_path):
         # the mean of 1e308 entries overflows, so no default epsilon exists
@@ -510,6 +512,25 @@ def test_too_few_keypoints_fail_before_training(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_infinite_tau_fails_before_training(tmp_path, source):
+    # TrainingConfig states SinkhornConfig's tau rule: +inf is the balanced
+    # limit, -inf is rejected before the ensemble trains
+    out = tmp_path / "out"
+    argv = ["experiment", "--out", str(out)]
+    if source == "flag":
+        argv.append("--tau=-inf")
+    else:
+        cfgfile = tmp_path / "tau.cfg"
+        cfgfile.write_text("tau = -inf\n")
+        argv += ["--config", str(cfgfile)]
+    res = run_cli(*argv, env=dict(os.environ, OTKD_LOG="info"))
+    assert res.returncode == 1
+    assert "error: tau must be > 0" in res.stderr
+    assert "training" not in res.stderr
+    assert not (out / "report.csv").exists()
+
+
 class TestTopLevel:
     @pytest.mark.parametrize("argv", [
         ["--help"], ["sinkhorn", "--help"], ["experiment", "--help"],
@@ -534,6 +555,16 @@ class TestTopLevel:
         res = run_cli("sinkhorn", "--bogus", *paths)
         assert res.returncode == 1
         assert "unrecognized arguments" in res.stderr
+
+    def test_usage_error_returns_from_main(self, tmp_path, capsys):
+        # a flag mistake is an InvalidInput: `main` returns its exit code
+        # instead of argparse raising SystemExit
+        paths = _write_instance(tmp_path, [[0.0]], [1.0], [1.0])
+        assert cli.main(["sinkhorn", "--bogus", *paths]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: otkd")
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: unrecognized arguments: --bogus"]
 
     def test_missing_command_is_usage_error(self):
         res = run_cli()

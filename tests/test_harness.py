@@ -98,13 +98,13 @@ class TestConfig:
         ("tau", 0.0), ("tau", -1.0), ("uncertainty_scale", 0.0),
         ("softmax_beta", 0.0), ("teacher_error_threshold_px", 0.0),
         ("corrupt_member", 4), ("corrupt_keypoints", (8,)),
-        ("corrupt_keypoints", (-1,)),
+        ("corrupt_keypoints", (-1,)), ("corrupt_keypoints", (0, 0)),
         ("gamma_kpt", np.inf), ("gamma_p", np.nan), ("gamma_f", np.inf),
         ("lam", np.nan), ("learning_rate", np.inf),
         ("learning_rate", np.nan), ("label_noise_px", np.nan),
         ("corrupt_noise_px", np.inf), ("uncertainty_scale", np.inf),
         ("softmax_beta", np.inf), ("teacher_error_threshold_px", np.inf),
-        ("tau", np.nan), ("seed", -1),
+        ("tau", np.nan), ("tau", -np.inf), ("seed", -1),
     ])
     def test_invalid_fields(self, field, value):
         with pytest.raises(InvalidInput, match=field):
@@ -362,8 +362,9 @@ class TestConcurrentMembers:
 
         with pytest.raises(RuntimeError, match="item 0"):
             list(harness._map(job, range(8)))
-        # the pool keeps three items queued for its two workers, and refills
-        # the queue once when item 0 returns; the rest are cancelled
+        # `Executor.map` submits all eight items; the pool queues three for
+        # its two workers and refills the queue once when item 0 returns.
+        # Raising item 0's error cancels every item not yet queued
         assert {int(p.name) for p in tmp_path.iterdir()} <= set(range(6))
 
     @pytest.mark.parametrize("cores,items", [({0}, 3), ({0, 1}, 1)])

@@ -2,7 +2,7 @@
 itself or the benchmark.  A name that only tests reach is dead code; wire it
 in or delete it.
 
-Four checks:
+Five checks:
 
 * every top-level function and class and every non-dunder method is used:
   a `Name` or `Attribute` node or an import of the name;
@@ -17,7 +17,10 @@ Four checks:
   point, which the tests call with arguments;
 * every parameter default is relied on: some call of that callee leaves the
   parameter out.  A default that only tests leave out is a value the system
-  always passes; make it required.
+  always passes; make it required;
+* every dataclass field default is relied on: some construction of the
+  class leaves the field out, by keyword and by position, or passes `**`,
+  which may leave it out.
 
 A call `f(...)` or `x.f(...)` is a call of the top-level function `f`.  A
 method call is keyed by the class of its receiver where that is known:
@@ -76,14 +79,18 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _fields(trees):
-    """(module:class.field, class name, field name) of every dataclass field."""
+    """(module:class.field, class name, field name, position among the
+    constructor's positional arguments, whether it has a default) of every
+    dataclass field."""
     for path in LIBRARY:
         for node in trees[path].body:
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                for item in node.body:
-                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                        name = item.target.id
-                        yield f"{path.stem}:{node.name}.{name}", node.name, name
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                for position, item in enumerate(fields):
+                    name = item.target.id
+                    yield (f"{path.stem}:{node.name}.{name}", node.name, name,
+                           position, item.value is not None)
 
 
 def _defaulted_parameters(trees):
@@ -247,6 +254,17 @@ def _always_passed(trees):
             if not _omits(passes.get(key, []), parameter, position)]
 
 
+def _always_given(trees):
+    passes = _passes(trees)
+    given = []
+    for label, cls, name, position, default in _fields(trees):
+        calls = passes.get((None, cls), [])
+        if (default and not any(None in keywords for keywords, _, _ in calls)
+                and not _omits(calls, name, position)):
+            given.append(label)
+    return given
+
+
 def test_every_definition_is_reached():
     trees = _parse()
     used = _uses(trees)
@@ -258,7 +276,7 @@ def test_every_definition_is_reached():
 def test_every_dataclass_field_is_read():
     trees = _parse()
     attrs, whole = _reads(trees)
-    unread = [label for label, cls, name in _fields(trees)
+    unread = [label for label, cls, name, *_ in _fields(trees)
               if name not in attrs and cls not in whole]
     assert unread == []
 
@@ -269,6 +287,20 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_every_default_is_relied_on():
     assert _always_passed(_parse()) == []
+
+
+def test_every_field_default_is_relied_on():
+    assert _always_given(_parse()) == []
+
+
+def test_a_field_default_that_only_tests_omit_is_caught():
+    # a planted default that `harness._spec` always passes; the test suite's
+    # own `RegressorSpec` does not count
+    path = ROOT / "src" / "otkd" / "regressor.py"
+    source = path.read_text()
+    planted = source.replace("    softmax_beta: float\n", "    softmax_beta: float = 5.0\n")
+    assert planted != source
+    assert _always_given(_parse({path: planted})) == ["regressor:RegressorSpec.softmax_beta"]
 
 
 def test_method_calls_count_for_their_class_only():

@@ -12,7 +12,7 @@ from otkd.regressor import (_BLOCK, Backbone, Conv2d, RegressorSpec,
                             ToyRegressor, backbone_columns, im2col)
 
 SPEC = RegressorSpec(in_channels=4, channels=3, num_keypoints=2, grid=8,
-                     image_size=32.0)
+                     image_size=32.0, softmax_beta=5.0)
 
 
 def make_net(seed=0, spec=SPEC):
