@@ -7,8 +7,9 @@ Subcommands: `sinkhorn` (solve a transport instance from CSV files),
 Exit codes: 0 success, 2 a Sinkhorn or PnP solve that stopped unconverged.
 A toolkit error prints one `error:` line and exits with its class's
 `exit_code`, as `otkd.errors` lists them; a flag or command mistake prints
-the usage first and is an `InvalidInput`.  Input rules are the library's
-(`TrainingConfig`, `SinkhornConfig`, `pnp.MIN_POINTS`); the CLI restates none.
+the usage first and is an `InvalidInput`.  The `sinkhorn` and `experiment`
+flags are the fields of `SinkhornConfig` and `TrainingConfig`, and their input
+rules, like `pnp.MIN_POINTS`, are the library's; the CLI restates none.
 `experiment` runs teacher members and report rows on up to one forked
 process per core (`harness._map`).  On any failure, Ctrl-C and a dead worker
 included, it writes the rows a serial loop would have finished, then
@@ -35,7 +36,8 @@ from .harness import (CONDITIONS, TrainingConfig, check_pose_evaluation,
                       experiment_rows, make_teacher_ensemble, write_report_csv,
                       write_report_json)
 from .pnp import MIN_POINTS, Correspondences, pnp_solve
-from .sinkhorn import default_config, plan_residuals, sinkhorn_unbalanced
+from .sinkhorn import (SinkhornConfig, default_config, plan_residuals,
+                       sinkhorn_unbalanced)
 
 log = logging.getLogger("otkd")
 
@@ -84,8 +86,25 @@ def _read_vector(path: str) -> np.ndarray:
     return _read_matrix(path).ravel()
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True,
-               "false": False, "0": False, "no": False}
+def _bool(raw: str) -> bool:
+    words = {"true": True, "1": True, "yes": True,
+             "false": False, "0": False, "no": False}
+    if raw.lower() not in words:
+        raise InvalidInput(f"expected a boolean, got {raw!r}")
+    return words[raw.lower()]
+
+
+def _int_tuple(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+# a config field's annotation (a string, under postponed evaluation) -> the
+# parser of its flag and its config-file value
+_PARSE = {"bool": _bool, "int": int, "float": float, "tuple[int, ...]": _int_tuple}
+# config-file key -> annotation: TrainingConfig's fields, and the
+# experiment-level keys that live beside them
+_KEYS = {f.name: f.type for f in dataclasses.fields(TrainingConfig)} | {
+    "corrupt_teacher": "bool", "num_seeds": "int"}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -100,42 +119,21 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainingConfig)}
-# experiment-level keys that live beside TrainingConfig in a config file
-_EXTRA_KEYS = {"corrupt_teacher": bool, "num_seeds": int}
-
-
-def _coerce(name: str, raw: str):
-    kind = _EXTRA_KEYS[name] if name in _EXTRA_KEYS else _CONFIG_FIELDS[name].type
-    if kind is bool:
-        if raw.lower() not in _BOOL_WORDS:
-            raise InvalidInput(f"{name}: expected a boolean, got {raw!r}")
-        return _BOOL_WORDS[raw.lower()]
-    try:
-        if name == "corrupt_keypoints":
-            return tuple(int(tok) for tok in raw.replace(",", " ").split())
-        if kind in ("int", int):
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"{name}: {exc}") from exc
-
-
 def _experiment_settings(args) -> tuple[TrainingConfig, bool, int]:
     values = {}
     if args.config:
         for key, raw in _parse_config_file(args.config).items():
-            if key not in _CONFIG_FIELDS and key not in _EXTRA_KEYS:
+            if key not in _KEYS:
                 raise InvalidInput(f"{args.config}: unknown key {key!r}")
-            values[key] = _coerce(key, raw)
-    for name in _CONFIG_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = _coerce(name, flag) if isinstance(flag, str) else flag
-    corrupt = bool(values.pop("corrupt_teacher", False))
-    if args.corrupt:
-        corrupt = True
-    num_seeds = int(values.pop("num_seeds", 1))
+            try:
+                values[key] = _PARSE[_KEYS[key]](raw)
+            except ValueError as exc:
+                raise InvalidInput(f"{key}: {exc}") from exc
+    for f in dataclasses.fields(TrainingConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+    corrupt = values.pop("corrupt_teacher", False) or args.corrupt
+    num_seeds = values.pop("num_seeds", 1)
     if args.num_seeds is not None:
         num_seeds = args.num_seeds
     if num_seeds < 1:
@@ -153,17 +151,12 @@ def _config_digest(cfg: TrainingConfig, corrupt: bool, seeds: list[int]) -> str:
 # subcommands
 
 
-_SINKHORN_FLAGS = ("epsilon", "tau", "max_iters", "tol")  # SinkhornConfig fields
-
-
 def cmd_sinkhorn(args) -> int:
     cost = _read_matrix(args.cost)
     alpha_s = _read_vector(args.alpha_s)
     alpha_t = _read_vector(args.alpha_t)
-    overrides = {name: getattr(args, name) for name in _SINKHORN_FLAGS
-                 if getattr(args, name) is not None}
-    if args.no_anneal:
-        overrides["anneal"] = False
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(SinkhornConfig)
+                 if getattr(args, f.name) is not None}
     cfg = default_config(cost, **overrides)
     log.info("solving %dx%d instance, epsilon=%g tau=%g",
              cost.shape[0], cost.shape[1], cfg.epsilon, cfg.tau)
@@ -251,6 +244,19 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of the config dataclass `cls`, parsed by the
+    field's annotation; a bool field, which defaults to True, is `--no-NAME`.
+    An unset flag is None, so the dataclass default stands."""
+    for f in dataclasses.fields(cls):
+        flag = f.name.replace("_", "-")
+        if f.type == "bool":
+            parser.add_argument(f"--no-{flag}", dest=f.name, action="store_false",
+                                default=None)
+        else:
+            parser.add_argument(f"--{flag}", dest=f.name, type=_PARSE[f.type])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="otkd",
@@ -263,11 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sink.add_argument("cost", help="cost matrix CSV (M rows x N cols)")
     p_sink.add_argument("alpha_s", help="row weights CSV (M values)")
     p_sink.add_argument("alpha_t", help="column weights CSV (N values)")
-    p_sink.add_argument("--epsilon", type=float)
-    p_sink.add_argument("--tau", type=float)
-    p_sink.add_argument("--max-iters", type=int, dest="max_iters")
-    p_sink.add_argument("--tol", type=float)
-    p_sink.add_argument("--no-anneal", action="store_true")
+    _add_config_flags(p_sink, SinkhornConfig)
     p_sink.set_defaults(func=cmd_sinkhorn)
 
     p_exp = sub.add_parser("experiment", help="run the distillation experiment")
@@ -276,14 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--num-seeds", type=int, dest="num_seeds")
     p_exp.add_argument("--corrupt", action="store_true",
                        help="corrupt one teacher member's keypoints")
-    for name, field in _CONFIG_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if name == "corrupt_keypoints":
-            p_exp.add_argument(flag, dest=name, metavar="K,K,...")
-        elif field.type in ("int", int):
-            p_exp.add_argument(flag, type=int, dest=name)
-        else:
-            p_exp.add_argument(flag, type=float, dest=name)
+    _add_config_flags(p_exp, TrainingConfig)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_pnp = sub.add_parser("pnp", help="solve a pose from correspondences")

@@ -41,8 +41,7 @@ from .pnp import MIN_POINTS, Correspondences, pnp_solve
 from .regressor import _DT, RegressorSpec, ToyRegressor, backbone_columns
 from .sinkhorn import default_epsilon, sinkhorn_unbalanced_batch
 from .uakd import transport_loss
-from .uncertainty import (aggregate, blend_weights, student_uniform_weights,
-                          teacher_confidence)
+from .uncertainty import aggregate, blend_weights
 
 GRID = 16
 IMAGE_SIZE = 64.0
@@ -243,11 +242,18 @@ class DistillTargets:
     regions: np.ndarray              # (B, N, C_T, e, e) ensemble-mean regions
 
 
-_job = None  # the function that `_call` applies, set before a pool forks
+_job = None  # in a worker: `_map`'s (fn, stop event), set by `_start`
+
+
+def _start(fn: Callable, stop) -> None:
+    global _job
+    _job = fn, stop
+    _one_blas_thread()
 
 
 def _call(item):
-    return _job(item)
+    fn, stop = _job
+    return None if stop.is_set() else fn(item)
 
 
 def _one_blas_thread():
@@ -271,12 +277,12 @@ def _one_blas_thread():
 def _map(fn: Callable, items: Sequence) -> Iterator:
     """Yields `fn(item)` for each item, in item order, from up to one forked
     process per available core (inline with one item or core, or no fork).
-    Workers inherit `fn` and all it reads, so only items and results are
-    pickled.  The executor's own `map` submits every item: a call's exception
-    is raised at its item's place, as the inline loop would raise it, and
-    when the consumer stops, the items not yet queued for a worker are
-    cancelled; a worker that dies raises `BrokenProcessPool`."""
-    global _job
+    Workers inherit `fn`, a stop event and all they read, so only items and
+    results are pickled.  The executor's own `map` submits every item: a
+    call's exception is raised at its item's place, as the inline loop would
+    raise it.  When the consumer stops, the items not yet queued for a worker
+    are cancelled, and the stop event makes each queued one return None
+    without calling `fn`; a worker that dies raises `BrokenProcessPool`."""
     workers = min(len(items), len(os.sched_getaffinity(0)))
     if workers > 1:  # imported here: only a pool needs them
         import multiprocessing
@@ -284,13 +290,14 @@ def _map(fn: Callable, items: Sequence) -> Iterator:
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         yield from map(fn, items)
         return
-    _job = fn
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
+    fork = multiprocessing.get_context("fork")
+    stop = fork.Event()
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start,
+                             initargs=(fn, stop)) as pool:
+        try:
             yield from pool.map(_call, items)
-    finally:
-        _job = None
+        finally:
+            stop.set()
 
 
 def make_teacher_ensemble(cfg: TrainingConfig) -> list[ToyRegressor]:
@@ -349,8 +356,7 @@ def prepare_targets(teachers: list[ToyRegressor], cols: np.ndarray,
         preds[cfg.corrupt_member][:, idx] += noise
 
     mean, u = aggregate(preds.reshape(E, B * N, 2), scale=cfg.uncertainty_scale)
-    conf = teacher_confidence(u)
-    weights = blend_weights(conf, np.ones_like(conf), cfg.lam).reshape(B, N)
+    weights = blend_weights(1.0 - u, np.ones_like(u), cfg.lam).reshape(B, N)
 
     extent = receptive_field_extent(teachers[0].head_spec())
     regions = np.zeros((B, N, teachers[0].spec.channels, extent, extent), _DT)
@@ -412,7 +418,7 @@ def total_loss(student: ToyRegressor, cols: np.ndarray,
         disp, dist = pairwise_distance(kps64, mus)
         if not np.isfinite(dist).all():
             raise TrainingDiverged("non-finite keypoints reached the transport cost")
-        a = np.broadcast_to(student_uniform_weights(M), (B, M))
+        a = np.full((B, M), 1.0 / M)
         b = targets.col_weights / mus.shape[1]
         f0, g0 = warm_start if warm_start is not None else (None, None)
         plans, f, g, iterations, converged = sinkhorn_unbalanced_batch(

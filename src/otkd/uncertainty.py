@@ -1,9 +1,11 @@
 """Teacher-ensemble aggregation: mean keypoints, per-keypoint uncertainty, and
-the marginal weights consumed by the transport solver.
+the teacher marginal's weights for the transport solver.
 
 An ensemble is E keypoint sets over the same N keypoint identities (identity =
 output index).  Every member predicts every keypoint; u = tanh(variance /
-scale) from the population variance over the members.
+scale) from the population variance over the members.  `blend_weights` mixes
+the confidence 1 - u with existence scores; the student marginal, uniform
+1/M, is built in `harness.total_loss`.
 """
 from __future__ import annotations
 
@@ -27,20 +29,6 @@ def aggregate(members: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray
     mean = m.sum(axis=0) / E
     variance = (((m - mean) ** 2).sum(axis=0) / E).sum(axis=1)
     return mean, np.tanh(variance / scale)
-
-
-def teacher_confidence(u: np.ndarray) -> np.ndarray:
-    """Confidence weights: 1 - u, elementwise."""
-    uu = np.asarray(u, dtype=float)
-    if (uu < 0).any() or (uu > 1).any():
-        raise InvalidInput("uncertainty must lie in [0, 1]")
-    return 1.0 - uu
-
-
-def student_uniform_weights(m: int) -> np.ndarray:
-    if m < 1:
-        raise InvalidInput(f"need at least one student keypoint, got {m}")
-    return np.full(m, 1.0 / m)
 
 
 def blend_weights(alpha_conf: np.ndarray, alpha_exist: np.ndarray,

@@ -1,7 +1,9 @@
 """Command-line front end: exit codes, file handling, report layout, and
 exact row-level agreement with the in-process experiment loop."""
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,8 +14,9 @@ from conftest import SRC, run_cli, strip_wall_ms
 from otkd import __version__, cli, harness
 from otkd.errors import DegenerateGeometry
 from otkd.geometry import Model3D, Pose, pose_errors, project
-from otkd.harness import (CONDITIONS, CSV_HEADER, box_model, default_camera,
-                          make_teacher_ensemble, sample_pose)
+from otkd.harness import (CONDITIONS, CSV_HEADER, TrainingConfig, box_model,
+                          default_camera, make_teacher_ensemble, sample_pose)
+from otkd.sinkhorn import SinkhornConfig
 from test_harness import nan_keypoints
 from test_sinkhorn import lp_transport_cost
 
@@ -529,6 +532,61 @@ def test_negative_infinite_tau_fails_before_training(tmp_path, source):
     assert "error: tau must be > 0" in res.stderr
     assert "training" not in res.stderr
     assert not (out / "report.csv").exists()
+
+
+class TestConfigFlags:
+    """Both subcommands' flags are built from their config dataclasses."""
+
+    def test_bad_corrupt_keypoints_is_usage_error(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setattr(cli, "make_teacher_ensemble", lambda cfg: pytest.fail(
+            "a usage error trained the ensemble"))
+        out = tmp_path / "out"
+        assert cli.main(["experiment", "--corrupt-keypoints", "0,x",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: otkd experiment")
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: argument --corrupt-keypoints")
+        assert not out.exists()
+
+    def test_sinkhorn_flags_reach_the_solver(self, tmp_path, monkeypatch):
+        seen = []
+        solve = cli.sinkhorn_unbalanced
+
+        def spy(cost, alpha_s, alpha_t, cfg):
+            seen.append(cfg)
+            return solve(cost, alpha_s, alpha_t, cfg)
+
+        monkeypatch.setattr(cli, "sinkhorn_unbalanced", spy)
+        argv = _sinkhorn_argv(tmp_path, "--epsilon", "0.5", "--tau", "3",
+                              "--max-iters", "7", "--tol", "1e-4", "--no-anneal")
+        assert cli.main(argv) in (0, 2)
+        assert seen == [SinkhornConfig(0.5, 3.0, 7, 1e-4, False)]
+
+    @pytest.mark.parametrize("name,raw", [
+        ("seed", "3"), ("lam", "0.25"), ("corrupt_keypoints", "3,4")])
+    def test_config_line_equals_flag(self, tmp_path, name, raw):
+        cfgfile = tmp_path / "one.cfg"
+        cfgfile.write_text(f"{name} = {raw}\n")
+        parser = cli._build_parser()
+        from_file = cli._experiment_settings(
+            parser.parse_args(["experiment", "--config", str(cfgfile)]))
+        from_flag = cli._experiment_settings(
+            parser.parse_args(["experiment", "--" + name.replace("_", "-"), raw]))
+        assert from_file == from_flag
+        assert from_file[0] != TrainingConfig()
+
+    def test_readme_usage_names_the_sinkhorn_flags(self):
+        # the README's usage line follows the parser: a field added to or
+        # dropped from SinkhornConfig needs the README changed too
+        usage = next(line for line in (SRC.parent / "README.md").read_text()
+                     .splitlines() if line.startswith("- `otkd sinkhorn "))
+        parser = argparse.ArgumentParser(add_help=False)
+        cli._add_config_flags(parser, SinkhornConfig)
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert set(re.findall(r"--[a-z-]+", usage)) == flags
 
 
 class TestTopLevel:

@@ -362,10 +362,10 @@ class TestConcurrentMembers:
 
         with pytest.raises(RuntimeError, match="item 0"):
             list(harness._map(job, range(8)))
-        # `Executor.map` submits all eight items; the pool queues three for
-        # its two workers and refills the queue once when item 0 returns.
-        # Raising item 0's error cancels every item not yet queued
-        assert {int(p.name) for p in tmp_path.iterdir()} <= set(range(6))
+        # item 0 fails while item 1 runs beside it; its worker may take one
+        # more item before the consumer sees the failure.  Raising it cancels
+        # every item not yet queued and stops the queued ones before `job`
+        assert {int(p.name) for p in tmp_path.iterdir()} <= {0, 1, 2}
 
     @pytest.mark.parametrize("cores,items", [({0}, 3), ({0, 1}, 1)])
     def test_runs_inline_without_a_second_job_or_core(self, monkeypatch,
@@ -517,7 +517,7 @@ class TestTotalLoss:
         assert res.parts["pred"] < 1e-3
 
     def test_zero_uncertainty_lambda1_weights_equal_uniform(self):
-        from otkd.uncertainty import blend_weights, teacher_confidence
+        from otkd.uncertainty import blend_weights
         cfg = dataclasses.replace(TINY, lam=1.0, gamma_f=0.0)
         s1, x, labels = _student_and_batch(cfg)
         s2, _, _ = _student_and_batch(cfg)
@@ -525,8 +525,7 @@ class TestTotalLoss:
         base = _synthetic_targets(cfg, s1, x, rng)
         u = np.zeros_like(base.col_weights)
         blended = dataclasses.replace(
-            base, col_weights=blend_weights(teacher_confidence(u),
-                                            np.ones_like(u), cfg.lam))
+            base, col_weights=blend_weights(1.0 - u, np.ones_like(u), cfg.lam))
         uniform = dataclasses.replace(base, col_weights=np.ones_like(u))
         r1 = total_loss(s1, x, labels, blended, cfg, None, None)
         r2 = total_loss(s2, x, labels, uniform, cfg, None, None)

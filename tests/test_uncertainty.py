@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from otkd.errors import InvalidInput
-from otkd.uncertainty import (aggregate, blend_weights, student_uniform_weights,
-                              teacher_confidence)
+from otkd.uncertainty import aggregate, blend_weights
 
 
 def two_pass_stats(members):
@@ -96,17 +95,6 @@ class TestUncertaintyMap:
 
 
 class TestWeights:
-    def test_confidence_complements_uncertainty(self):
-        u = np.array([0.0, 0.25, 1.0])
-        np.testing.assert_array_equal(teacher_confidence(u), [1.0, 0.75, 0.0])
-        with pytest.raises(InvalidInput, match="uncertainty must lie"):
-            teacher_confidence(np.array([1.5]))
-
-    def test_uniform_weights(self):
-        np.testing.assert_allclose(student_uniform_weights(8), np.full(8, 0.125))
-        with pytest.raises(InvalidInput, match="at least one student keypoint"):
-            student_uniform_weights(0)
-
     def test_blend_endpoints_bit_exact(self):
         rng = np.random.default_rng(2)
         conf = rng.uniform(0, 1, 6)
